@@ -4,25 +4,11 @@
 
 #include "obs/trace.h"
 #include "storage/store_error.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
 namespace moc {
-
-namespace {
-
-/** FNV-1a 64-bit hash of @p key, the per-key PRNG seed. */
-std::uint64_t
-HashKey(const std::string& key) {
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    for (const char c : key) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
-
-}  // namespace
 
 Blob
 SyntheticShardBytes(const ShardItem& item, std::uint64_t salt) {
@@ -33,7 +19,7 @@ SyntheticShardBytes(const ShardItem& item, std::uint64_t salt) {
     // vacuously on same-byte collisions.
     const std::size_t size =
         std::max<std::size_t>(1, static_cast<std::size_t>(item.bytes / 1024));
-    Rng rng(HashKey(item.key) ^ salt);
+    Rng rng(Fnv1a64(item.key.data(), item.key.size()) ^ salt);
     Blob blob(size);
     std::size_t i = 0;
     for (; i + 8 <= size; i += 8) {

@@ -202,7 +202,7 @@ PersistPipeline::Execute(Job job) {
     const obs::TraceContextScope ctx_scope(ctx);
     const Seconds start = clock_.Now();
     const std::uint32_t crc = Crc32c(job.blob.data(), job.blob.size());
-    const std::uint64_t fnv = Fnv1a64(job.blob.data(), job.blob.size());
+    const std::uint64_t hash = XxHash64(job.blob.data(), job.blob.size());
     const Bytes size = job.blob.size();
 
     std::optional<SealedEntry> baseline;
@@ -216,11 +216,11 @@ PersistPipeline::Execute(Job job) {
 
     // Dedup: identical content to the last sealed generation's entry is
     // recorded by reference, not re-persisted. Identity is the triple
-    // (size, CRC-32C, FNV-1a 64): a 32-bit hash alone collides under
+    // (size, CRC-32C, xxHash64): a 32-bit hash alone collides under
     // realistic shard counts, and a false dedup silently restores the
     // wrong expert weights.
     if (options_.dedup && baseline && baseline->crc == crc &&
-        baseline->fnv == fnv && baseline->bytes == size) {
+        baseline->hash == hash && baseline->bytes == size) {
         const SealedEntry entry = *baseline;  // keeps chain + chunk ids
         {
             std::lock_guard<std::mutex> lock(mu_);
@@ -347,7 +347,7 @@ PersistPipeline::Execute(Job job) {
     if (ok) {
         SealedEntry entry;
         entry.crc = crc;
-        entry.fnv = fnv;
+        entry.hash = hash;
         entry.bytes = size;
         entry.physical_iteration = job.iteration;
         entry.chain_length = as_delta ? baseline->chain_length + 1 : 0;

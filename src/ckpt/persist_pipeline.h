@@ -13,7 +13,7 @@
  *    latest-wins, so a failing event cannot damage an older generation;
  *  - each write is CRC-32C hashed and (optionally) read back and verified
  *    before the manifest records it;
- *  - a shard whose content identity — (byte size, CRC-32C, FNV-1a 64), two
+ *  - a shard whose content identity — (byte size, CRC-32C, xxHash64), two
  *    structurally unrelated hashes so a 32-bit collision cannot silently
  *    alias two different blobs — matches the last *sealed* generation's
  *    entry is recorded by reference instead of re-persisted — under PEC
@@ -205,9 +205,9 @@ class PersistPipeline {
     /** Content identity of a sealed shard, for dedup and delta diffing. */
     struct SealedEntry {
         std::uint32_t crc = 0;
-        /** Second, structurally unrelated hash: two same-size blobs that
-            collide on CRC-32C must still not dedup against each other. */
-        std::uint64_t fnv = 0;
+        /** xxHash64, a second, structurally unrelated hash: two same-size
+            blobs that collide on CRC-32C must still not dedup. */
+        std::uint64_t hash = 0;
         Bytes bytes = 0;
         /** Iteration whose physical blob holds the content. */
         std::size_t physical_iteration = 0;

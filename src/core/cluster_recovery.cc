@@ -1,6 +1,10 @@
 #include "core/cluster_recovery.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <set>
+#include <thread>
 
 #include "obs/trace.h"
 #include "storage/delta_codec.h"
@@ -96,6 +100,33 @@ ReconstructVerified(const CheckpointManifest& manifest, const ObjectStore& store
     return std::nullopt;
 }
 
+/** One planned shard's restore, produced on a worker and merged in plan
+    order on the caller. */
+struct ShardOutcome {
+    /** Verified bytes, or nullopt when every candidate failed. */
+    std::optional<Blob> blob;
+    /** Iteration of the version the bytes came from. */
+    std::size_t iteration = 0;
+    /** What the restore threw, rethrown on the caller. */
+    std::exception_ptr error;
+};
+
+/** Walks @p shard's verified fallback chain down from the plan's pick. */
+ShardOutcome
+RestoreShard(const CheckpointManifest& manifest, const ObjectStore& store,
+             const ShardRestorePlan& shard, std::size_t generation) {
+    ShardOutcome outcome;
+    for (const auto& version :
+         manifest.PersistFallbackChain(shard.key, generation)) {
+        outcome.blob = ReconstructVerified(manifest, store, shard.key, version);
+        if (outcome.blob.has_value()) {
+            outcome.iteration = version.iteration;
+            break;
+        }
+    }
+    return outcome;
+}
+
 }  // namespace
 
 std::optional<ClusterRestorePlan>
@@ -153,34 +184,60 @@ ExecuteClusterRestore(const CheckpointManifest& manifest,
     ctx.phase = "restore";
     const obs::TraceContextScope ctx_scope(ctx);
     const obs::TraceSpan span("cluster.restore", "cluster");
-    ClusterRestoreResult result;
-    result.generation = plan.generation;
-    for (const auto& shard : plan.shards) {
-        std::optional<Blob> blob;
-        std::size_t restored_iteration = shard.iteration;
-        for (const auto& version :
-             manifest.PersistFallbackChain(shard.key, plan.generation)) {
-            blob = ReconstructVerified(manifest, store, shard.key, version);
-            if (blob.has_value()) {
-                restored_iteration = version.iteration;
-                break;
+
+    // Shards are independent reads: workers claim plan indices from a
+    // shared counter, and the caller merges the outcomes in plan order so
+    // the result is the same as a serial walk's.
+    const std::size_t count = plan.shards.size();
+    std::vector<ShardOutcome> outcomes(count);
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+        // Installed per worker so its storage spans stay on the restore lane.
+        const obs::TraceContextScope worker_scope(ctx);
+        for (std::size_t i = next++; i < count; i = next++) {
+            try {
+                outcomes[i] =
+                    RestoreShard(manifest, store, plan.shards[i], plan.generation);
+            } catch (...) {
+                outcomes[i].error = std::current_exception();
             }
         }
-        if (!blob.has_value()) {
+    };
+    const std::size_t threads = std::min<std::size_t>(
+        count, std::max(1U, std::thread::hardware_concurrency()));
+    std::vector<std::thread> workers;
+    for (std::size_t t = 1; t < threads; ++t) {
+        workers.emplace_back(work);
+    }
+    work();
+    for (auto& worker : workers) {
+        worker.join();
+    }
+
+    ClusterRestoreResult result;
+    result.generation = plan.generation;
+    for (std::size_t i = 0; i < count; ++i) {
+        const ShardRestorePlan& shard = plan.shards[i];
+        ShardOutcome& outcome = outcomes[i];
+        if (outcome.error) {
+            // Merged in plan order: the failure a serial walk hits first.
+            std::rethrow_exception(outcome.error);
+        }
+        if (!outcome.blob.has_value()) {
             result.damaged.push_back(shard.key);
             MOC_WARN << "cluster restore: every candidate of " << shard.key
                      << " failed verification";
             continue;
         }
-        if (restored_iteration != shard.iteration) {
+        if (outcome.iteration != shard.iteration) {
             result.degraded.push_back(
-                {shard.key, shard.iteration, restored_iteration,
+                {shard.key, shard.iteration, outcome.iteration,
                  "planned version damaged; restored older verified version"});
         }
-        result.bytes_read += blob->size();
+        result.bytes_read += outcome.blob->size();
         result.blobs.emplace(
             shard.target_key.empty() ? shard.key : shard.target_key,
-            std::move(*blob));
+            std::move(*outcome.blob));
         ++result.shards_restored;
     }
     return result;

@@ -104,6 +104,12 @@ std::optional<ClusterRestorePlan> PlanClusterRestore(
  * blob and CRC-verifies it against the manifest record; a damaged blob
  * falls back down the key's verified chain (older versions, dedup refs
  * resolved) before the key is declared damaged.
+ *
+ * Shards restore concurrently on min(shards, hardware_concurrency())
+ * threads, each under the restore generation's trace context. The result
+ * is the one a serial walk in plan order produces, and an exception from
+ * any shard's read is rethrown here for the first failing shard in plan
+ * order.
  */
 ClusterRestoreResult ExecuteClusterRestore(const CheckpointManifest& manifest,
                                            const ObjectStore& store,

@@ -77,7 +77,7 @@ HashChunks(const Blob& blob, std::size_t chunk_bytes) {
     for (std::size_t c = 0; c < n; ++c) {
         const std::size_t len = ChunkLen(blob.size(), chunk_bytes, c);
         const std::uint8_t* p = blob.data() + c * chunk_bytes;
-        ids.push_back(ChunkId{Crc32c(p, len), Fnv1a64(p, len)});
+        ids.push_back(ChunkId{Crc32c(p, len), XxHash64(p, len)});
     }
     return ids;
 }

@@ -8,7 +8,7 @@
  * Content-hash dedup (PR 4) only skips *unchanged* experts; a hot expert
  * that changed 1% of its weights still re-persisted 100% of its bytes.
  * Delta encoding closes that gap: the blob is cut into fixed-size chunks,
- * each chunk's identity (CRC-32C + FNV-1a 64, see util/hash.h for why one
+ * each chunk's identity (CRC-32C + xxHash64, see util/hash.h for why one
  * 32-bit hash is not an identity) is compared against the previous sealed
  * generation's blob, and only the changed chunks are persisted — a bitmap
  * plus their payloads, stored under `<key>@<iter>.delta`.
@@ -39,10 +39,10 @@ namespace moc {
 /** Content identity of one chunk: two structurally unrelated hashes. */
 struct ChunkId {
     std::uint32_t crc = 0;
-    std::uint64_t fnv = 0;
+    std::uint64_t hash = 0;
 
     bool operator==(const ChunkId& o) const {
-        return crc == o.crc && fnv == o.fnv;
+        return crc == o.crc && hash == o.hash;
     }
     bool operator!=(const ChunkId& o) const { return !(*this == o); }
 };

@@ -1,15 +1,14 @@
 #include "storage/file_store.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <chrono>
+#include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -24,6 +23,9 @@ namespace moc {
 namespace {
 
 constexpr char kFileSuffix[] = ".blob";
+/** Put temp files are `<key>.blob.tmp.<pid>.<seq>`; a crash of the previous
+    Put protocol left `<key>.blob.tmp`, which the infix also matches. */
+constexpr char kTempInfix[] = ".blob.tmp";
 constexpr std::size_t kTrailerSize = sizeof(std::uint32_t);
 
 void
@@ -53,32 +55,90 @@ NowSeconds() {
     return static_cast<double>(obs::Tracer::NowNs()) * 1e-9;
 }
 
+std::string
+ErrnoText() {
+    return std::strerror(errno);
+}
+
+/** write(2) until @p len bytes landed, retrying short writes and EINTR. */
+bool
+WriteAll(int fd, const void* data, std::size_t len) {
+    const auto* p = static_cast<const char*>(data);
+    while (len > 0) {
+        const ssize_t n = ::write(fd, p, len);
+        if (n < 0) {
+            if (errno == EINTR) {
+                continue;
+            }
+            return false;
+        }
+        p += n;
+        len -= static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
 /**
- * Flushes @p path's data (or, for a directory, its entries) to stable
- * storage. The atomic-rename protocol needs both: fsync the temp file
- * before the rename so the data is durable under its new name, and fsync
- * the parent directory after so the rename itself survives power loss.
- * On Windows there is no directory fsync; this becomes a no-op there and
- * the store degrades to ordinary (still atomic-on-crash) rename semantics.
+ * Flushes directory @p dir's entries to stable storage, so a rename into
+ * it survives power loss.
  */
 void
-SyncPath(const fs::path& path, const std::string& key) {
-#ifndef _WIN32
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+SyncDir(const fs::path& dir, const std::string& key) {
+    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
     if (fd < 0) {
         throw StoreError(StoreErrorKind::kTransient, key,
-                         "cannot open for fsync: " + path.string());
+                         "cannot open for fsync: " + dir.string());
     }
     const int rc = ::fsync(fd);
     ::close(fd);
     if (rc != 0) {
         throw StoreError(StoreErrorKind::kTransient, key,
-                         "fsync failed for " + path.string());
+                         "fsync failed for " + dir.string());
     }
-#else
-    (void)path;
-    (void)key;
-#endif
+}
+
+/**
+ * Unique temp file name for one Put of @p path: no two Puts, in this
+ * process or another sharing the root, ever write the same temp file.
+ */
+fs::path
+TempPathFor(const fs::path& path) {
+    static std::atomic<std::uint64_t> seq{0};
+    return path.string() + ".tmp." + std::to_string(::getpid()) + "." +
+           std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
+}
+
+bool
+EndsWith(const std::string& s, const std::string& suffix) {
+    return s.size() > suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/**
+ * Visits every regular file under @p root with its root-relative generic
+ * path. Concurrent Puts and Erases create and remove files mid-walk: an
+ * entry or directory that vanishes is skipped, never an error.
+ */
+template <typename Fn>
+void
+WalkFiles(const fs::path& root, Fn&& fn) {
+    std::vector<fs::path> dirs{root};
+    while (!dirs.empty()) {
+        const fs::path dir = std::move(dirs.back());
+        dirs.pop_back();
+        std::error_code ec;
+        fs::directory_iterator it(dir, ec);
+        for (const fs::directory_iterator end; !ec && it != end;
+             it.increment(ec)) {
+            const fs::directory_entry& entry = *it;
+            std::error_code type_ec;
+            if (entry.is_directory(type_ec) && !entry.is_symlink(type_ec)) {
+                dirs.push_back(entry.path());
+            } else if (entry.is_regular_file(type_ec)) {
+                fn(entry, entry.path().lexically_relative(root).generic_string());
+            }
+        }
+    }
 }
 
 }  // namespace
@@ -103,27 +163,41 @@ FileStore::Put(const std::string& key, Blob blob) {
     const obs::TraceSpan span("filestore.put", "storage");
     const double start = NowSeconds();
     const fs::path path = PathFor(key);
-    std::lock_guard<std::mutex> lock(mu_);
-    fs::create_directories(path.parent_path());
-    const fs::path tmp = path.string() + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            throw StoreError(StoreErrorKind::kTransient, key,
-                             "cannot open " + tmp.string());
-        }
-        out.write(reinterpret_cast<const char*>(blob.data()),
-                  static_cast<std::streamsize>(blob.size()));
-        const std::uint32_t crc = Crc32(blob.data(), blob.size());
-        out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-        if (!out) {
-            throw StoreError(StoreErrorKind::kTransient, key,
-                             "write failed for " + tmp.string());
-        }
+    const fs::path dir = path.parent_path();
+    std::error_code ec;
+    fs::create_directories(dir, ec);
+    if (ec && !fs::is_directory(dir)) {
+        throw StoreError(StoreErrorKind::kTransient, key,
+                         "cannot create " + dir.string() + ": " + ec.message());
     }
-    SyncPath(tmp, key);        // data durable before it becomes visible
-    fs::rename(tmp, path);     // atomic replace on POSIX
-    SyncPath(path.parent_path(), key);  // the rename itself durable
+    const fs::path tmp = TempPathFor(path);
+    const int fd =
+        ::open(tmp.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
+    if (fd < 0) {
+        throw StoreError(StoreErrorKind::kTransient, key,
+                         "cannot open " + tmp.string() + ": " + ErrnoText());
+    }
+    const std::uint32_t crc = Crc32(blob.data(), blob.size());
+    std::string failed;
+    if (!WriteAll(fd, blob.data(), blob.size()) ||
+        !WriteAll(fd, &crc, sizeof(crc))) {
+        failed = "write";
+    } else if (::fsync(fd) != 0) {  // data durable before it becomes visible
+        failed = "fsync";
+    }
+    if (::close(fd) != 0 && failed.empty()) {
+        failed = "close";
+    }
+    if (failed.empty() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+        failed = "rename";  // atomic replace on POSIX
+    }
+    if (!failed.empty()) {
+        const std::string reason = ErrnoText();
+        ::unlink(tmp.c_str());
+        throw StoreError(StoreErrorKind::kTransient, key,
+                         failed + " failed for " + tmp.string() + ": " + reason);
+    }
+    SyncDir(dir, key);  // the rename itself durable
     auto& registry = obs::MetricsRegistry::Instance();
     static obs::Counter& write_bytes = registry.GetCounter("filestore.write_bytes");
     static obs::Histogram& write_seconds =
@@ -137,7 +211,6 @@ FileStore::Get(const std::string& key) const {
     const obs::TraceSpan span("filestore.get", "storage");
     const double start = NowSeconds();
     const fs::path path = PathFor(key);
-    std::lock_guard<std::mutex> lock(mu_);
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in) {
         return std::nullopt;
@@ -178,59 +251,66 @@ FileStore::Get(const std::string& key) const {
 bool
 FileStore::Contains(const std::string& key) const {
     const fs::path path = PathFor(key);
-    std::lock_guard<std::mutex> lock(mu_);
     return fs::exists(path);
 }
 
 void
 FileStore::Erase(const std::string& key) {
     const fs::path path = PathFor(key);
-    std::lock_guard<std::mutex> lock(mu_);
     std::error_code ec;
     fs::remove(path, ec);
 }
 
 std::vector<std::string>
 FileStore::Keys() const {
-    std::lock_guard<std::mutex> lock(mu_);
     std::vector<std::string> keys;
-    if (!fs::exists(root_)) {
-        return keys;
-    }
-    const std::string suffix = kFileSuffix;
-    for (const auto& entry : fs::recursive_directory_iterator(root_)) {
-        if (!entry.is_regular_file()) {
-            continue;
+    WalkFiles(root_, [&keys](const fs::directory_entry&, const std::string& rel) {
+        if (EndsWith(rel, kFileSuffix)) {
+            keys.push_back(rel.substr(0, rel.size() - (sizeof(kFileSuffix) - 1)));
         }
-        std::string rel = fs::relative(entry.path(), root_).generic_string();
-        if (rel.size() > suffix.size() &&
-            rel.compare(rel.size() - suffix.size(), suffix.size(), suffix) == 0) {
-            keys.push_back(rel.substr(0, rel.size() - suffix.size()));
-        }
-    }
+    });
     std::sort(keys.begin(), keys.end());
     return keys;
 }
 
 Bytes
 FileStore::TotalBytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
     Bytes total = 0;
-    if (!fs::exists(root_)) {
-        return total;
-    }
-    for (const auto& entry : fs::recursive_directory_iterator(root_)) {
-        if (entry.is_regular_file()) {
-            const auto size = entry.file_size();
+    WalkFiles(root_, [&total](const fs::directory_entry& entry,
+                              const std::string& rel) {
+        std::error_code ec;
+        const std::uintmax_t size = entry.file_size(ec);
+        if (!ec && EndsWith(rel, kFileSuffix)) {
             total += size >= kTrailerSize ? size - kTrailerSize : 0;
         }
-    }
+    });
     return total;
 }
 
 std::size_t
 FileStore::Count() const {
     return Keys().size();
+}
+
+std::vector<FileStore::TempFile>
+FileStore::TempFiles() const {
+    std::vector<TempFile> temps;
+    WalkFiles(root_, [&temps](const fs::directory_entry& entry,
+                              const std::string&) {
+        const std::string name = entry.path().filename().string();
+        if (name.find(kTempInfix) == std::string::npos ||
+            EndsWith(name, kFileSuffix)) {
+            return;
+        }
+        std::error_code ec;
+        const std::uintmax_t size = entry.file_size(ec);
+        if (!ec) {
+            temps.push_back(TempFile{entry.path(), size});
+        }
+    });
+    std::sort(temps.begin(), temps.end(),
+              [](const TempFile& a, const TempFile& b) { return a.path < b.path; });
+    return temps;
 }
 
 }  // namespace moc

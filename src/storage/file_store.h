@@ -9,10 +9,15 @@
  * (temp file + rename) with a CRC32 trailer so torn writes are detected on
  * read. Useful when the library is embedded in an actual training job
  * rather than an experiment harness.
+ *
+ * The store holds no lock: Put, Get and Erase are safe to call concurrently
+ * on any keys, from threads or processes sharing the root. Each Put writes
+ * a temp file of its own, `<key>.blob.tmp.<pid>.<seq>`, and renames it over
+ * the key, so concurrent Puts of one key each land a complete file (the
+ * last rename wins) and a Get sees one whole version, never a mix.
  */
 
 #include <filesystem>
-#include <mutex>
 #include <string>
 
 #include "storage/object_store.h"
@@ -41,6 +46,20 @@ class FileStore final : public ObjectStore {
     Bytes TotalBytes() const override;
     std::size_t Count() const override;
 
+    /** A temp file left by a Put that has not renamed it (yet). */
+    struct TempFile {
+        std::filesystem::path path;
+        std::uintmax_t bytes = 0;
+    };
+
+    /**
+     * Every Put temp file under the root. A process that dies mid-Put
+     * leaves its temp file behind; the store never deletes one itself,
+     * because ranks of one job share a root and another process's
+     * in-flight temp file is not stale. `moc_cli fsck` reports them.
+     */
+    std::vector<TempFile> TempFiles() const;
+
     const std::filesystem::path& root() const { return root_; }
 
   private:
@@ -48,7 +67,6 @@ class FileStore final : public ObjectStore {
     std::filesystem::path PathFor(const std::string& key) const;
 
     std::filesystem::path root_;
-    mutable std::mutex mu_;
 };
 
 }  // namespace moc

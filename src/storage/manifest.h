@@ -66,7 +66,7 @@ struct PersistVersion {
     bool corrupt = false;
     /**
      * Dedup-by-reference: the shard's content was identical (same size,
-     * CRC-32C, and FNV-1a 64) to an already-persisted version, so no bytes
+     * CRC-32C, and xxHash64) to an already-persisted version, so no bytes
      * were written for this version — the physical blob lives at the
      * referenced iteration instead (docs/FAULT_MODEL.md, "cluster commit
      * protocol").

@@ -1,6 +1,14 @@
 #include "util/crc32.h"
 
 #include <array>
+#include <cstring>
+
+#include "util/crc32_internal.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define MOC_CRC32C_SSE42 1
+#include <nmmintrin.h>
+#endif
 
 namespace moc {
 
@@ -58,7 +66,66 @@ TableUpdate(const SliceTables& t, std::uint32_t crc, const void* data,
     return ~crc;
 }
 
+#ifdef MOC_CRC32C_SSE42
+/**
+ * CRC-32C on the SSE4.2 `crc32` instruction: the instruction computes the
+ * Castagnoli polynomial in its reflected form with no pre/post inversion,
+ * so wrapping the loop in the same ~crc as the table path gives
+ * bit-identical results. One 8-byte instruction per word, then a byte tail.
+ */
+__attribute__((target("sse4.2"))) std::uint32_t
+Sse42Update(std::uint32_t crc, const void* data, std::size_t len) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    std::uint64_t c = ~crc;
+    for (; len >= 8; p += 8, len -= 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, p, sizeof(word));
+        c = _mm_crc32_u64(c, word);
+    }
+    auto c32 = static_cast<std::uint32_t>(c);
+    for (; len > 0; ++p, --len) {
+        c32 = _mm_crc32_u8(c32, *p);
+    }
+    return ~c32;
+}
+#endif
+
+using Crc32cFn = std::uint32_t (*)(std::uint32_t, const void*, std::size_t);
+
+/** Picks the CRC-32C implementation once, from the running CPU. */
+Crc32cFn
+DispatchCrc32c() {
+#ifdef MOC_CRC32C_SSE42
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sse4.2")) {
+        return Sse42Update;
+    }
+#endif
+    return crc32_internal::Crc32cUpdateSliceBy8;
+}
+
+Crc32cFn
+Crc32cImpl() {
+    static const Crc32cFn fn = DispatchCrc32c();
+    return fn;
+}
+
 }  // namespace
+
+namespace crc32_internal {
+
+std::uint32_t
+Crc32cUpdateSliceBy8(std::uint32_t crc, const void* data, std::size_t len) {
+    static const auto tables = MakeTables(0x82F63B78U);
+    return TableUpdate(tables, crc, data, len);
+}
+
+bool
+Crc32cUsesHardware() {
+    return Crc32cImpl() != Crc32cUpdateSliceBy8;
+}
+
+}  // namespace crc32_internal
 
 std::uint32_t
 Crc32Update(std::uint32_t crc, const void* data, std::size_t len) {
@@ -73,8 +140,7 @@ Crc32(const void* data, std::size_t len) {
 
 std::uint32_t
 Crc32cUpdate(std::uint32_t crc, const void* data, std::size_t len) {
-    static const auto tables = MakeTables(0x82F63B78U);
-    return TableUpdate(tables, crc, data, len);
+    return Crc32cImpl()(crc, data, len);
 }
 
 std::uint32_t

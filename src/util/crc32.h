@@ -21,6 +21,12 @@
  * same-shaped bytes in place passes verification. A second polynomial
  * breaks the cancellation: the embedded trailer is no longer the outer
  * register's own image of the section.
+ *
+ * Both run slice-by-8 tables by default. Crc32c sits on the checkpoint
+ * critical path (every shard, chunk and read-back is checked with it), so
+ * on x86-64 it dispatches once at runtime: a CPU with SSE4.2 runs its
+ * 8-byte `crc32` instruction, any other CPU keeps slice-by-8. The two
+ * paths are bit-identical, so values recorded by one verify on the other.
  */
 
 #include <cstddef>

@@ -208,6 +208,48 @@ TEST(Cli, FsckCleanStoreExitsZero) {
     std::filesystem::remove_all(dir);
 }
 
+TEST(Cli, FsckReportsStaleTempFilesWithoutDamage) {
+    const auto dir = MakeCheckpointDir("moc_cli_fsck_temps");
+    const auto json = dir / "fsck.json";
+    const auto read_json = [&json] {
+        std::ifstream in(json);
+        std::stringstream doc;
+        doc << in.rdbuf();
+        return doc.str();
+    };
+    std::ostringstream out;
+    std::ostringstream err;
+    ASSERT_EQ(Main({"fsck", dir.string(), "--json", json.string()}, out, err),
+              0);
+    EXPECT_NE(read_json().find("\"stale_temp_files\": 0"), std::string::npos);
+
+    // Writers killed mid-Put leave their temp files beside the keys, one
+    // per interrupted Put.
+    const auto leave = [](const std::filesystem::path& file, std::size_t n) {
+        std::ofstream(file, std::ios::binary) << std::string(n, 'x');
+    };
+    leave(dir / "meta" / "manifest.blob.tmp.4242.0", 100);
+    leave(dir / "meta" / "manifest.blob.tmp.4243.7", 40);
+    leave(dir / "gen" / "8" / "moe" / "0" / "expert" / "0" / "w.blob.tmp.4242.1",
+          10);
+    out.str("");
+    EXPECT_EQ(Main({"fsck", dir.string(), "--json", json.string()}, out, err),
+              0)
+        << out.str();
+    EXPECT_NE(out.str().find("clean:"), std::string::npos) << out.str();
+    EXPECT_NE(out.str().find("3 stale temp file(s), 150 bytes"),
+              std::string::npos)
+        << out.str();
+    const std::string doc = read_json();
+    EXPECT_NE(doc.find("\"exit_code\": 0"), std::string::npos) << doc;
+    EXPECT_NE(doc.find("\"damaged_files\": []"), std::string::npos) << doc;
+    EXPECT_NE(doc.find("\"stale_temp_files\": 3"), std::string::npos) << doc;
+    EXPECT_NE(doc.find("\"stale_temp_bytes\": 150"), std::string::npos) << doc;
+    // fsck reports them and leaves them in place.
+    EXPECT_TRUE(std::filesystem::exists(dir / "meta" / "manifest.blob.tmp.4242.0"));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Cli, FsckDamagedTwinIsRepairable) {
     const auto dir = MakeCheckpointDir("moc_cli_fsck_repairable");
     CorruptFile(dir / "gen" / "8" / "moe" / "0" / "expert" / "0" / "w.blob");

@@ -9,18 +9,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ckpt/cluster_engine.h"
 #include "ckpt/persist_pipeline.h"
 #include "cli_lib.h"
 #include "core/cluster_recovery.h"
+#include "obs/trace.h"
 #include "storage/delta_codec.h"
 #include "storage/faulty_store.h"
 #include "storage/file_store.h"
@@ -93,11 +100,11 @@ TEST(DeltaCodec, ChunkHashesDifferPerChunkAndCarryBothHashes) {
     ASSERT_EQ(ids.size(), 3U);  // 128 + 128 + 44-byte tail
     EXPECT_NE(ids[0], ids[1]);
     for (const auto& id : ids) {
-        EXPECT_NE(id.fnv, 0U);
+        EXPECT_NE(id.hash, 0U);
     }
     // The chunk identity matches hashing the slice directly.
     EXPECT_EQ(ids[0].crc, Crc32c(blob.data(), 128));
-    EXPECT_EQ(ids[0].fnv, Fnv1a64(blob.data(), 128));
+    EXPECT_EQ(ids[0].hash, XxHash64(blob.data(), 128));
     EXPECT_EQ(ids[2].crc, Crc32c(blob.data() + 256, 44));
 }
 
@@ -275,6 +282,214 @@ TEST(DeltaCkpt, PruneKeepsDeltaChainBases) {
     EXPECT_TRUE(manifest.FindPersistVersion("k", 1).has_value());
 }
 
+// ---------- parallel restore ----------
+
+/**
+ * Restores @p plan one shard at a time — a one-shard plan runs on the
+ * caller alone — and concatenates the outcomes in plan order: the serial
+ * walk the parallel restore must reproduce exactly.
+ */
+ClusterRestoreResult
+SerialRestore(const CheckpointManifest& manifest, const ObjectStore& store,
+              const ClusterRestorePlan& plan) {
+    ClusterRestoreResult serial;
+    serial.generation = plan.generation;
+    for (const auto& shard : plan.shards) {
+        ClusterRestorePlan one = plan;
+        one.shards = {shard};
+        auto part = ExecuteClusterRestore(manifest, store, one);
+        serial.shards_restored += part.shards_restored;
+        serial.bytes_read += part.bytes_read;
+        serial.damaged.insert(serial.damaged.end(), part.damaged.begin(),
+                              part.damaged.end());
+        serial.degraded.insert(serial.degraded.end(), part.degraded.begin(),
+                               part.degraded.end());
+        serial.blobs.merge(part.blobs);
+    }
+    return serial;
+}
+
+/** Forwards to @p base, running @p before_get ahead of every Get (to delay
+    or throw). */
+class GetHookStore final : public ObjectStore {
+  public:
+    GetHookStore(ObjectStore& base,
+                 std::function<void(const std::string&)> before_get)
+        : base_(base), before_get_(std::move(before_get)) {}
+
+    void Put(const std::string& key, Blob blob) override {
+        base_.Put(key, std::move(blob));
+    }
+    std::optional<Blob> Get(const std::string& key) const override {
+        before_get_(key);
+        return base_.Get(key);
+    }
+    bool Contains(const std::string& key) const override {
+        return base_.Contains(key);
+    }
+    void Erase(const std::string& key) override { base_.Erase(key); }
+    std::vector<std::string> Keys() const override { return base_.Keys(); }
+    Bytes TotalBytes() const override { return base_.TotalBytes(); }
+    std::size_t Count() const override { return base_.Count(); }
+
+  private:
+    ObjectStore& base_;
+    const std::function<void(const std::string&)> before_get_;
+};
+
+TEST(ClusterRecovery, ParallelRestoreMatchesSerialOrderAndValues) {
+    PersistentStore store({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
+                           .latency = 0.0});
+    ClusterEngineOptions opt;
+    opt.delta = true;
+    opt.delta_chunk_bytes = 64;
+    ClusterCheckpointEngine engine(store, 2, FastCost(), opt);
+    const auto plan = MixedPlan(2, 4, 4 * kMiB);  // 10 shards
+    for (std::size_t gen = 1; gen <= 4; ++gen) {
+        ASSERT_TRUE(engine.Execute(plan, ChurnProvider(gen), gen).sealed);
+    }
+    const auto restore = PlanClusterRestore(engine.manifest());
+    ASSERT_TRUE(restore.has_value());
+    ASSERT_EQ(restore->shards.size(), 10U);
+
+    // Two shards' newest delta records rot, so they degrade to 3; damage
+    // is planted out of plan order so a result in completion or damage
+    // order would show.
+    const std::vector<std::string> rotted = {restore->shards[3].key,
+                                             restore->shards[8].key};
+    for (const std::size_t i : {8U, 3U}) {
+        store.Put(DeltaShardKey(restore->shards[i].key, 4), Blob(16, 0xFF));
+    }
+    // Two more shards: the full write every delta of their chain sits on
+    // rots, so no version of them reconstructs.
+    const std::vector<std::string> broken = {restore->shards[1].key,
+                                             restore->shards[6].key};
+    for (const std::size_t i : {6U, 1U}) {
+        store.Put(VersionedShardKey(restore->shards[i].key, 1), Blob(16, 0xFF));
+    }
+
+    const auto result = ExecuteClusterRestore(engine.manifest(), store, *restore);
+    EXPECT_EQ(result.damaged, broken);
+    ASSERT_EQ(result.degraded.size(), 2U);
+    for (std::size_t i = 0; i < rotted.size(); ++i) {
+        EXPECT_EQ(result.degraded[i].key, rotted[i]);
+        EXPECT_EQ(result.degraded[i].planned_iteration, 4U);
+        EXPECT_EQ(result.degraded[i].restored_iteration, 3U);
+    }
+
+    const auto serial = SerialRestore(engine.manifest(), store, *restore);
+    EXPECT_EQ(result.generation, serial.generation);
+    EXPECT_EQ(result.shards_restored, serial.shards_restored);
+    EXPECT_EQ(result.bytes_read, serial.bytes_read);
+    EXPECT_EQ(result.damaged, serial.damaged);
+    ASSERT_EQ(result.degraded.size(), serial.degraded.size());
+    for (std::size_t i = 0; i < serial.degraded.size(); ++i) {
+        EXPECT_EQ(result.degraded[i].key, serial.degraded[i].key);
+        EXPECT_EQ(result.degraded[i].planned_iteration,
+                  serial.degraded[i].planned_iteration);
+        EXPECT_EQ(result.degraded[i].restored_iteration,
+                  serial.degraded[i].restored_iteration);
+    }
+    EXPECT_EQ(result.blobs, serial.blobs);
+    for (RankId r = 0; r < 2; ++r) {
+        for (const auto& item : plan.Items(r)) {
+            const std::string key = "rank" + std::to_string(r) + "/" + item.key;
+            const auto in = [&key](const std::vector<std::string>& keys) {
+                return std::find(keys.begin(), keys.end(), key) != keys.end();
+            };
+            if (in(broken)) {
+                EXPECT_EQ(result.blobs.count(key), 0U);
+                continue;
+            }
+            EXPECT_EQ(result.blobs.at(key), ChurnedBytes(item, in(rotted) ? 3 : 4))
+                << key;
+        }
+    }
+}
+
+TEST(ClusterRecovery, WorkerExceptionRethrowsOnCallerForFirstShardInPlanOrder) {
+    PersistentStore base({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
+                          .latency = 0.0});
+    ClusterCheckpointEngine engine(base, 2, FastCost());
+    const auto plan = MixedPlan(2, 4, 4 * kMiB);
+    ASSERT_TRUE(engine.Execute(plan, ChurnProvider(1), 1).sealed);
+    const auto restore = PlanClusterRestore(engine.manifest());
+    ASSERT_TRUE(restore.has_value());
+    ASSERT_EQ(restore->shards.size(), 10U);
+
+    // Two shards throw std::logic_error, which no restore path treats as
+    // a damaged blob; the caller sees the earlier one in plan order.
+    const std::string first = restore->shards[2].key + "@";
+    const std::string second = restore->shards[7].key + "@";
+    const GetHookStore store(base, [&](const std::string& key) {
+        if (key.find(first) != std::string::npos ||
+            key.find(second) != std::string::npos) {
+            throw std::logic_error("injected failure reading " + key);
+        }
+    });
+    try {
+        ExecuteClusterRestore(engine.manifest(), store, *restore);
+        FAIL() << "a throwing store restored without error";
+    } catch (const std::logic_error& e) {
+        EXPECT_NE(std::string(e.what()).find(restore->shards[2].key),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ClusterRecovery, WorkerStorageSpansCarryTheRestoreContext) {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("moc_parallel_restore_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    FileStore disk(dir);
+    ClusterCheckpointEngine engine(disk, 2, FastCost());
+    const auto plan = MixedPlan(2, 4, 4 * kMiB);
+    ASSERT_TRUE(engine.Execute(plan, ChurnProvider(1), 1).sealed);
+    ASSERT_TRUE(engine.Execute(plan, ChurnProvider(2), 2).sealed);
+    const auto restore = PlanClusterRestore(engine.manifest());
+    ASSERT_TRUE(restore.has_value());
+
+    auto& tracer = obs::Tracer::Instance();
+    tracer.Clear();
+    tracer.set_enabled(true);
+    // Slow Gets make the workers certainly overlap.
+    const GetHookStore slow(disk, [](const std::string&) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    });
+    const auto result = ExecuteClusterRestore(engine.manifest(), slow, *restore);
+    tracer.set_enabled(false);
+    const auto events = tracer.Collect();
+    tracer.Clear();
+    fs::remove_all(dir);
+    EXPECT_EQ(result.shards_restored, 10U);
+
+    std::uint32_t caller_tid = 0;
+    bool saw_restore = false;
+    std::set<std::uint32_t> get_tids;
+    std::size_t gets = 0;
+    for (const auto& e : events) {
+        const std::string name = e.name;
+        if (name == "cluster.restore") {
+            saw_restore = true;
+            caller_tid = e.tid;
+        } else if (name == "filestore.get") {
+            ++gets;
+            get_tids.insert(e.tid);
+            EXPECT_EQ(e.generation, restore->generation);
+            EXPECT_EQ(e.iteration, restore->generation);
+            EXPECT_STREQ(e.phase, "restore");
+        }
+    }
+    ASSERT_TRUE(saw_restore);
+    EXPECT_EQ(gets, restore->shards.size());
+    if (std::thread::hardware_concurrency() > 1) {
+        // Workers, not just the caller, read shards.
+        get_tids.erase(caller_tid);
+        EXPECT_FALSE(get_tids.empty());
+    }
+}
+
 // ---------- dedup identity ----------
 
 /**
@@ -353,7 +568,7 @@ TEST(DedupIdentity, Crc32cCollisionWithEqualSizeDoesNotDedup) {
     ASSERT_EQ(Crc32c(a.data(), a.size()), Crc32c(b.data(), b.size()))
         << "collision crafting failed";
     // The second identity component tells them apart.
-    EXPECT_NE(Fnv1a64(a.data(), a.size()), Fnv1a64(b.data(), b.size()));
+    EXPECT_NE(XxHash64(a.data(), a.size()), XxHash64(b.data(), b.size()));
 
     PersistentStore store({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
                            .latency = 0.0});

@@ -2,14 +2,17 @@
  * @file
  * Unit tests for the on-disk FileStore: round trips, nested keys, torn-write
  * detection, crash-consistency damage (truncation, bit flips, zero fill),
- * key validation, and interchangeability with MemoryStore through the
- * ObjectStore interface.
+ * key validation, lock-free concurrent Put/Get/listing, and
+ * interchangeability with MemoryStore through the ObjectStore interface.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "storage/file_store.h"
@@ -213,6 +216,146 @@ TEST(FileStore, EmptyBlobAllowed) {
     const auto blob = store.Get("zero");
     ASSERT_TRUE(blob.has_value());
     EXPECT_TRUE(blob->empty());
+}
+
+/**
+ * A self-describing version: the first byte names the writer, the second
+ * the round, the size depends on both, and every later byte is a function
+ * of (writer, round, offset). A torn or mixed read cannot satisfy all three.
+ */
+Blob
+VersionBlob(std::uint8_t writer, std::uint8_t round) {
+    Blob blob(512 + 64 * writer + round);
+    blob[0] = writer;
+    blob[1] = round;
+    for (std::size_t i = 2; i < blob.size(); ++i) {
+        blob[i] = static_cast<std::uint8_t>(writer * 31 + round * 7 + i);
+    }
+    return blob;
+}
+
+bool
+IsWholeVersion(const Blob& blob) {
+    return blob.size() >= 2 && blob == VersionBlob(blob[0], blob[1]);
+}
+
+TEST(FileStoreConcurrency, PutsAndGetsNeverSeeTornVersions) {
+    TempDir dir("concurrent_putget");
+    FileStore store(dir.path());
+    constexpr int kThreads = 8;
+    constexpr int kRounds = 12;
+    std::atomic<int> failures{0};
+    std::atomic<int> shared_reads{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const auto writer = static_cast<std::uint8_t>(t);
+            const std::string own = "rank" + std::to_string(t) + "/own";
+            for (int r = 0; r < kRounds; ++r) {
+                const auto round = static_cast<std::uint8_t>(r);
+                try {
+                    store.Put(own, VersionBlob(writer, round));
+                    store.Put("shared/key", VersionBlob(writer, round));
+                    // Our own key holds exactly what we last wrote.
+                    const auto mine = store.Get(own);
+                    if (!mine || *mine != VersionBlob(writer, round)) {
+                        ++failures;
+                    }
+                    // The shared key holds some writer's complete version.
+                    const auto shared = store.Get("shared/key");
+                    if (!shared || !IsWholeVersion(*shared)) {
+                        ++failures;
+                    }
+                    ++shared_reads;
+                } catch (const std::exception&) {
+                    ++failures;  // a Put or Get tripped over another thread
+                }
+            }
+        });
+    }
+    for (auto& thread : threads) {
+        thread.join();
+    }
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(shared_reads.load(), kThreads * kRounds);
+    EXPECT_EQ(store.Count(), static_cast<std::size_t>(kThreads) + 1);
+    EXPECT_TRUE(store.TempFiles().empty());
+}
+
+TEST(FileStoreConcurrency, ListingDuringPutsNeverThrowsOrShowsTempFiles) {
+    TempDir dir("concurrent_list");
+    FileStore store(dir.path());
+    std::atomic<bool> done{false};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < 4; ++t) {
+        writers.emplace_back([&store, t] {
+            for (int r = 0; r < 16; ++r) {
+                const std::string key = "gen/" + std::to_string(r % 4) + "/rank" +
+                                        std::to_string(t) + "/w";
+                store.Put(key, Blob(256, static_cast<std::uint8_t>(r)));
+                if (r % 3 == 2) {
+                    store.Erase(key);
+                }
+            }
+        });
+    }
+    std::atomic<int> listings{0};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 2; ++t) {
+        readers.emplace_back([&] {
+            do {
+                try {
+                    for (const auto& key : store.Keys()) {
+                        if (key.find(".tmp") != std::string::npos) {
+                            ++failures;
+                        }
+                    }
+                    if (store.TotalBytes() % 256 != 0) {
+                        ++failures;  // a temp file's bytes were counted
+                    }
+                    store.Count();
+                } catch (...) {
+                    ++failures;
+                }
+                ++listings;
+            } while (!done.load());
+        });
+    }
+    for (auto& writer : writers) {
+        writer.join();
+    }
+    done.store(true);
+    for (auto& reader : readers) {
+        reader.join();
+    }
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_GE(listings.load(), 2);
+    for (const auto& key : store.Keys()) {
+        EXPECT_EQ(key.find(".tmp"), std::string::npos) << key;
+    }
+    EXPECT_TRUE(store.TempFiles().empty());
+}
+
+TEST(FileStoreConcurrency, TempFilesListsLeftoversButKeysDoNot) {
+    TempDir dir("leftover_temps");
+    FileStore store(dir.path());
+    store.Put("a/k", MakeBlob(64, 1));
+    // What a writer killed between open and rename leaves behind, plus the
+    // name an older single-temp protocol used.
+    std::ofstream(dir.path() / "a" / "k.blob.tmp.123.0") << std::string(20, 'x');
+    std::ofstream(dir.path() / "a" / "k.blob.tmp") << std::string(5, 'y');
+    EXPECT_EQ(store.Keys(), std::vector<std::string>{"a/k"});
+    EXPECT_EQ(store.TotalBytes(), 64U);
+    const auto temps = store.TempFiles();
+    ASSERT_EQ(temps.size(), 2U);
+    EXPECT_EQ(temps[0].path.filename(), "k.blob.tmp");
+    EXPECT_EQ(temps[0].bytes, 5U);
+    EXPECT_EQ(temps[1].path.filename(), "k.blob.tmp.123.0");
+    EXPECT_EQ(temps[1].bytes, 20U);
+    // The store never removes them itself.
+    store.Put("a/k", MakeBlob(32, 2));
+    EXPECT_EQ(store.TempFiles().size(), 2U);
 }
 
 /** The same behavioural contract holds for both ObjectStore backends. */

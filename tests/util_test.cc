@@ -16,6 +16,7 @@
 #include "util/bytes.h"
 #include "util/clock.h"
 #include "util/crc32.h"
+#include "util/crc32_internal.h"
 #include "util/hash.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -424,6 +425,69 @@ TEST(Crc32, SliceBy8MatchesBytewiseReferenceAtEveryLength) {
         inc = Crc32cUpdate(inc, data.data() + split, data.size() - split);
         EXPECT_EQ(inc, Crc32c(data.data(), data.size())) << "split " << split;
     }
+}
+
+/**
+ * Crc32c dispatches at runtime (SSE4.2 `crc32` on x86-64 CPUs that have
+ * it); the slice-by-8 fallback must agree with it and with the bytewise
+ * reference. Offsets 0-7 put every alignment under the 8-byte strides;
+ * lengths run to 64 KiB + 1 through every short length and the stride and
+ * page boundaries.
+ */
+TEST(Crc32c, DispatchedAndSliceBy8MatchBytewiseUpTo64KiB) {
+    constexpr std::size_t kMaxLen = 64 * 1024 + 1;
+    Rng rng(11);
+    std::vector<std::uint8_t> data(kMaxLen + 8);
+    for (auto& byte : data) {
+        byte = static_cast<std::uint8_t>(rng.Next());
+    }
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 72; ++n) {
+        lengths.push_back(n);
+    }
+    for (std::size_t n = 73; n < kMaxLen; n = n * 3 / 2 + 5) {
+        lengths.push_back(n);
+    }
+    for (const std::size_t n : {4095U, 4096U, 4097U, 65535U, 65536U, 65537U}) {
+        lengths.push_back(n);
+    }
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        const std::uint8_t* p = data.data() + offset;
+        for (const std::size_t n : lengths) {
+            const std::uint32_t want = BytewiseCrc(0x82F63B78U, 0, p, n);
+            EXPECT_EQ(Crc32c(p, n), want) << "offset " << offset << " length " << n;
+            EXPECT_EQ(crc32_internal::Crc32cUpdateSliceBy8(0, p, n), want)
+                << "offset " << offset << " length " << n;
+        }
+    }
+    // Incremental updates resume from a nonzero register on either path.
+    const std::uint32_t head = Crc32cUpdate(0, data.data(), 13);
+    const std::uint32_t want = BytewiseCrc(0x82F63B78U, head, data.data() + 13, 1000);
+    EXPECT_EQ(Crc32cUpdate(head, data.data() + 13, 1000), want);
+    EXPECT_EQ(crc32_internal::Crc32cUpdateSliceBy8(head, data.data() + 13, 1000),
+              want);
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("sse4.2")) {
+        EXPECT_TRUE(crc32_internal::Crc32cUsesHardware());
+    }
+#endif
+}
+
+// ---------- xxHash64 ----------
+
+TEST(XxHash64, KnownVectors) {
+    // Published XXH64 values, seed 0.
+    EXPECT_EQ(XxHash64(nullptr, 0), 0xEF46DB3751D8E999ULL);
+    EXPECT_EQ(XxHash64("a", 1), 0xD24EC4F1A98C6E5BULL);
+    EXPECT_EQ(XxHash64("abc", 3), 0x44BC2CF5AD770999ULL);
+    const std::string spam = "Nobody inspects the spammish repetition";
+    EXPECT_EQ(XxHash64(spam.data(), spam.size()), 0xFBCEA83C8A378BF1ULL);
+    // 47 bytes = one 32-byte stripe + an 8-byte word + a 4-byte word + 3
+    // single bytes: every loop and tail branch runs. Value from the xxHash
+    // reference implementation.
+    const std::string longer = "Nobody inspects the spammish repetition, twice.";
+    ASSERT_EQ(longer.size(), 47U);
+    EXPECT_EQ(XxHash64(longer.data(), longer.size()), 0x71009F338658D6D9ULL);
 }
 
 // ---------- FNV-1a ----------

@@ -34,6 +34,11 @@
  *      through a rank remap (core/placement.h), so the directory is not
  *      clean.
  *
+ * The scrub also counts Put temp files (`*.blob.tmp.*`) a crashed writer left
+ * behind. They are reported, not damage: they never change the exit code,
+ * and fsck does not delete them, since a temp file may belong to a Put
+ * still in flight in another process sharing the directory.
+ *
  * Exit codes: 0 = clean; 1 = damage, a torn generation, or an orphaned
  * generation found but at least one generation is still restartable
  * (repairable — recovery will degrade or remap, not die); 2 = fatal (no
@@ -225,6 +230,11 @@ RunFsck(const Args& args, std::ostream& out) {
     }
     const FileStore store(root);
     const auto files = ScrubFiles(store);
+    std::uintmax_t temp_bytes = 0;
+    const auto temps = store.TempFiles();
+    for (const auto& temp : temps) {
+        temp_bytes += temp.bytes;
+    }
 
     std::vector<std::string> damaged_files;
     for (const auto& [key, health] : files) {
@@ -404,6 +414,12 @@ RunFsck(const Args& args, std::ostream& out) {
         out << "warning: no usable manifest (" << manifest_error
             << ") — physical scrub only\n";
     }
+    if (!temps.empty()) {
+        out << "note: " << temps.size() << " stale temp file(s), "
+            << temp_bytes
+            << " bytes, left by interrupted writes (not damage; delete them "
+               "once no writer uses the directory)\n";
+    }
     for (const auto& key : damaged_files) {
         out << "  damaged file: " << key << " (" << files.at(key).error
             << ")\n";
@@ -473,6 +489,8 @@ RunFsck(const Args& args, std::ostream& out) {
         j << "{\n  \"format\": \"moc-fsck/1\",\n  \"root\": \""
           << obs::JsonEscape(root) << "\",\n  \"exit_code\": " << code
           << ",\n  \"files\": " << files.size()
+          << ",\n  \"stale_temp_files\": " << temps.size()
+          << ",\n  \"stale_temp_bytes\": " << temp_bytes
           << ",\n  \"have_manifest\": " << (have_manifest ? "true" : "false")
           << ",\n  \"damaged_files\": [";
         for (std::size_t i = 0; i < damaged_files.size(); ++i) {
