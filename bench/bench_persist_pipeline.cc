@@ -1,12 +1,12 @@
 /**
  * @file
- * Cluster persist-pipeline A/B: the monolithic latest-wins blob per rank vs
- * the per-shard keyed commit protocol, with and without unchanged-expert
- * dedup, on a PEC-shaped workload (K changed experts per event, K << N —
- * Section 4.2). Measures persisted bytes and event makespan across a run of
- * checkpoint events, then demonstrates the torn-checkpoint failure mode the
- * commit protocol removes: a mid-event persist fault leaves the generation
- * unsealed and recovery falls back to the previous sealed one.
+ * Cluster persist-pipeline A/B: the per-shard keyed commit protocol with and
+ * without unchanged-expert dedup, on a PEC-shaped workload (K changed
+ * experts per event, K << N — Section 4.2). Measures persisted bytes and
+ * event makespan across a run of checkpoint events, then demonstrates the
+ * torn-checkpoint failure mode the commit protocol removes: a mid-event
+ * persist fault leaves the generation unsealed and recovery falls back to
+ * the previous sealed one.
  *
  * A second A/B targets the hot-expert regime dedup cannot touch: every
  * shard changes ~1% of its chunks every event, so whole-blob identity never
@@ -168,34 +168,30 @@ RunHotMode(ClusterCheckpointEngine& engine, const ShardPlan& plan) {
 
 int
 main() {
-    PrintHeader("persist-pipeline", "monolithic vs per-shard keyed commit");
+    PrintHeader("persist-pipeline", "per-shard keyed commit, full vs dedup");
     std::printf("%zu ranks x %zu experts, K=%zu changed per event, %zu events\n",
                 kRanks, kExpertsPerRank, kPecK, kEvents);
 
     const auto plan = PecPlan();
     struct Mode {
         const char* name;
-        bool per_shard;
         bool dedup;
     };
-    const Mode modes[] = {{"monolithic", false, false},
-                          {"per-shard", true, false},
-                          {"per-shard+dedup", true, true}};
+    const Mode modes[] = {{"per-shard", false}, {"per-shard+dedup", true}};
 
     CsvWriter csv({"mode", "events", "keys_written", "keys_deduped",
                    "bytes_persisted", "makespan_s", "sealed_generations"});
     Table t({"mode", "keys written", "keys deduped", "bytes persisted",
              "makespan (s)", "sealed gens"});
-    Bytes monolithic_bytes = 0;
+    Bytes full_bytes = 0;
     Bytes dedup_bytes = 0;
-    Seconds monolithic_makespan = 0.0;
+    Seconds full_makespan = 0.0;
     Seconds dedup_makespan = 0.0;
     std::map<std::string, ModeResult> by_mode;
     for (const auto& mode : modes) {
         PersistentStore store(
             {.write_bandwidth = 50e6, .read_bandwidth = 200e6, .latency = 0.0});
         ClusterEngineOptions opt;
-        opt.per_shard = mode.per_shard;
         opt.dedup = mode.dedup;
         ClusterCheckpointEngine engine(store, kRanks, BenchCost(), opt);
         const ModeResult r = RunMode(engine, plan);
@@ -206,26 +202,25 @@ main() {
                     std::to_string(r.keys_written), std::to_string(r.keys_deduped),
                     std::to_string(r.bytes_persisted),
                     Table::Num(r.total_makespan, 4), std::to_string(r.sealed)});
-        if (std::string(mode.name) == "monolithic") {
-            monolithic_bytes = r.bytes_persisted;
-            monolithic_makespan = r.total_makespan;
-        }
-        if (std::string(mode.name) == "per-shard+dedup") {
+        if (mode.dedup) {
             dedup_bytes = r.bytes_persisted;
             dedup_makespan = r.total_makespan;
+        } else {
+            full_bytes = r.bytes_persisted;
+            full_makespan = r.total_makespan;
         }
         by_mode[mode.name] = r;
     }
     std::printf("%s", t.ToString().c_str());
-    if (monolithic_bytes > 0) {
+    if (full_bytes > 0) {
         std::printf(
-            "per-shard+dedup vs monolithic: %.1f%% of the bytes, %.2fx the "
+            "per-shard+dedup vs per-shard: %.1f%% of the bytes, %.2fx the "
             "makespan\n",
             100.0 * static_cast<double>(dedup_bytes) /
-                static_cast<double>(monolithic_bytes),
-            dedup_makespan / monolithic_makespan);
+                static_cast<double>(full_bytes),
+            dedup_makespan / full_makespan);
         std::printf("expected: dedup persists ~(K + dense)/(N + dense) of the "
-                    "monolithic bytes,\nwith correspondingly lower makespan "
+                    "full bytes,\nwith correspondingly lower makespan "
                     "(unchanged experts never hit storage).\n");
     }
     csv.WriteFile("results/persist_pipeline.csv");
@@ -289,7 +284,6 @@ main() {
                                    .read_bandwidth = 200e6,
                                    .latency = 0.0});
             ClusterEngineOptions opt;
-            opt.per_shard = true;
             opt.dedup = true;
             opt.delta = delta;
             opt.delta_chunk_bytes = kHotChunkBytes;
@@ -364,10 +358,10 @@ main() {
         scalars.emplace_back(name + ".sealed_generations",
                              static_cast<double>(r.sealed));
     }
-    if (monolithic_bytes > 0) {
+    if (full_bytes > 0) {
         scalars.emplace_back("dedup_bytes_ratio",
                              static_cast<double>(dedup_bytes) /
-                                 static_cast<double>(monolithic_bytes));
+                                 static_cast<double>(full_bytes));
     }
     scalars.emplace_back("hot_expert.bytes_persisted_dedup_only",
                          static_cast<double>(hot_dedup_bytes));

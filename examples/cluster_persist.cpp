@@ -182,7 +182,7 @@ main(int argc, char** argv) {
     }
 
     if (restore_only) {
-        const auto manifest_blob = store.Get("meta/manifest");
+        const auto manifest_blob = store.Get(kManifestKey);
         if (!manifest_blob.has_value()) {
             std::printf("restore: no meta/manifest in %s\n", ckpt_dir.c_str());
             return 1;

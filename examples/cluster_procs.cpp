@@ -276,35 +276,38 @@ LingerLiveEndpoint(const obs::HttpEndpoint* endpoint, double linger_s) {
     std::this_thread::sleep_for(std::chrono::duration<double>(linger_s));
 }
 
-int
-RunCoordinator(std::size_t ranks, std::size_t events,
-               const std::string& ckpt_dir, const std::string& port_file,
+/**
+ * Listens on an ephemeral port, publishes it for the ranks, and waits for
+ * all of them to connect. @p mode prefixes the banner ("" or "elastic, ").
+ * Returns nullptr (after saying so) when the ranks do not all join in time.
+ */
+std::unique_ptr<net::SocketTransport>
+ListenForRanks(std::size_t ranks, const std::string& port_file,
                const net::SocketOptions& net_opts, Seconds join_timeout_s,
-               Seconds barrier_deadline_s, const LiveEndpointConfig& live) {
-    FileStore store(ckpt_dir);
-    const auto endpoint = StartLiveEndpoint(live);
+               const char* mode) {
     auto transport =
         net::SocketTransport::Listen(0, net::kCoordinatorPeer, net_opts);
     WritePortFile(port_file, transport->port());
-    std::printf("coordinator: listening on 127.0.0.1:%u, waiting for %zu "
+    std::printf("coordinator: %slistening on 127.0.0.1:%u, waiting for %zu "
                 "rank(s)\n",
-                transport->port(), ranks);
+                mode, transport->port(), ranks);
     if (!transport->WaitForPeers(ranks, join_timeout_s)) {
         std::fprintf(stderr, "coordinator: only %zu/%zu ranks joined\n",
                      transport->Peers().size(), ranks);
-        return 1;
+        return nullptr;
     }
+    return transport;
+}
 
-    std::vector<net::PeerId> participants;
-    for (std::size_t r = 0; r < ranks; ++r) {
-        participants.push_back(static_cast<net::PeerId>(r));
-    }
-    CheckpointCoordinator coordinator(*transport, std::move(participants));
-    // The cluster plane taps every barrier message: kTelemetry feeds the
-    // aggregator (straggler detection fires here, DURING the run),
-    // kPeerDeath folds transport verdicts into the health view.
-    obs::ClusterAggregator& cluster = obs::ClusterAggregator::Instance();
-    coordinator.SetMessageObserver([&cluster](const net::Message& msg) {
+/**
+ * Taps every barrier message into the cluster plane: kTelemetry feeds the
+ * aggregator (straggler detection fires here, DURING the run), kPeerDeath
+ * folds transport verdicts into the health view.
+ */
+void
+ObserveClusterPlane(CheckpointCoordinator& coordinator) {
+    coordinator.SetMessageObserver([](const net::Message& msg) {
+        obs::ClusterAggregator& cluster = obs::ClusterAggregator::Instance();
         if (msg.type == net::MsgType::kTelemetry) {
             try {
                 cluster.Observe(
@@ -319,41 +322,109 @@ RunCoordinator(std::size_t ranks, std::size_t events,
                                      "transport");
         }
     });
-    CheckpointManifest manifest;
+}
 
-    auto write_manifest = [&store, &manifest]() {
-        const std::string json = manifest.ToJson();
-        store.Put("meta/manifest", Blob(json.begin(), json.end()));
-    };
+/** Writes @p json under @p key in the checkpoint directory. */
+void
+PutJson(ObjectStore& store, const char* key, const std::string& json) {
+    store.Put(key, Blob(json.begin(), json.end()));
+}
+
+/**
+ * One checkpoint barrier: installs the event's trace context for as long
+ * as the step lives (the caller's loop body), broadcasts kCkptBegin, waits
+ * for the reports, records them in the manifest and runs the seal rule.
+ */
+class BarrierStep {
+  public:
+    BarrierStep(CheckpointCoordinator& coordinator,
+                CheckpointManifest& manifest, std::size_t event,
+                Seconds deadline_s, const Blob* extra = nullptr)
+        : ctx_{.generation = event, .iteration = event, .phase = "barrier"},
+          scope_(ctx_) {
+        coordinator.BeginGeneration(event, ctx_, extra);
+        wait_start_ = clock_.Now();
+        {
+            const obs::TraceSpan span("net.barrier.wait", "net");
+            barrier = coordinator.AwaitReports(event, deadline_s);
+        }
+        RecordReports(manifest, barrier);
+        sealed = SealIfComplete(manifest, event, barrier);
+    }
+
+    /** Seconds since the barrier began waiting for reports. */
+    Seconds Elapsed() const { return clock_.Now() - wait_start_; }
+
+    BarrierResult barrier;
+    bool sealed = false;
+
+  private:
+    const obs::TraceContext ctx_;
+    const obs::TraceContextScope scope_;
+    WallClock clock_;
+    Seconds wait_start_ = 0.0;
+};
+
+/**
+ * Restores @p plan from the checkpoint directory and prints the
+ * "recovered generation=..." line, then @p note, then the gauntlet
+ * verdict; lingers the live endpoint. Returns the process exit code.
+ */
+int
+RestoreAndReport(const CheckpointManifest& manifest, ObjectStore& store,
+                 const ClusterRestorePlan& plan, const std::string& note,
+                 const obs::HttpEndpoint* endpoint, double linger_s) {
+    const ClusterRestoreResult restored =
+        ExecuteClusterRestore(manifest, store, plan);
+    std::printf("recovered generation=%zu shards=%zu damaged=%zu "
+                "missing=%zu degraded=%zu\n",
+                restored.generation, restored.shards_restored,
+                restored.damaged.size(), plan.missing.size(),
+                restored.degraded.size());
+    std::printf("%s", note.c_str());
+    const bool ok = restored.damaged.empty() && plan.missing.empty() &&
+                    restored.shards_restored > 0;
+    std::printf("gauntlet: %s\n", ok ? "OK" : "FAILED");
+    LingerLiveEndpoint(endpoint, linger_s);
+    return ok ? 0 : 1;
+}
+
+int
+RunCoordinator(std::size_t ranks, std::size_t events,
+               const std::string& ckpt_dir, const std::string& port_file,
+               const net::SocketOptions& net_opts, Seconds join_timeout_s,
+               Seconds barrier_deadline_s, const LiveEndpointConfig& live) {
+    FileStore store(ckpt_dir);
+    const auto endpoint = StartLiveEndpoint(live);
+    const auto transport =
+        ListenForRanks(ranks, port_file, net_opts, join_timeout_s, "");
+    if (!transport) {
+        return 1;
+    }
+
+    std::vector<net::PeerId> participants;
+    for (std::size_t r = 0; r < ranks; ++r) {
+        participants.push_back(static_cast<net::PeerId>(r));
+    }
+    CheckpointCoordinator coordinator(*transport, std::move(participants));
+    ObserveClusterPlane(coordinator);
+    CheckpointManifest manifest;
 
     Table t({"generation", "sealed", "reports", "dead", "wait (s)"});
     std::uint64_t bytes_total = 0;
     std::uint64_t bytes_saved = 0;
     bool death = false;
     for (std::size_t event = 1; event <= events && !death; ++event) {
-        obs::TraceContext ctx;
-        ctx.generation = event;
-        ctx.iteration = event;
-        ctx.phase = "barrier";
-        const obs::TraceContextScope scope(ctx);
-        coordinator.BeginGeneration(event, ctx);
-        WallClock clock;
-        const Seconds wait_start = clock.Now();
-        BarrierResult barrier;
-        {
-            const obs::TraceSpan span("net.barrier.wait", "net");
-            barrier = coordinator.AwaitReports(event, barrier_deadline_s);
-        }
-        RecordReports(manifest, barrier);
-        const bool sealed = SealIfComplete(manifest, event, barrier);
-        write_manifest();
+        const BarrierStep step(coordinator, manifest, event,
+                               barrier_deadline_s);
+        const BarrierResult& barrier = step.barrier;
+        PutJson(store, kManifestKey, manifest.ToJson());
         AccumulateBarrierBytes(barrier, bytes_total, bytes_saved);
-        SampleBarrier(event, clock.Now() - wait_start, bytes_total,
-                      bytes_saved);
-        t.AddRow({std::to_string(event), sealed ? "yes" : "no",
+        SampleBarrier(event, step.Elapsed(), bytes_total, bytes_saved);
+        t.AddRow({std::to_string(event), step.sealed ? "yes" : "no",
                   std::to_string(barrier.reports.size()),
                   std::to_string(barrier.dead.size()),
-                  Table::Num(clock.Now() - wait_start, 3)});
+                  Table::Num(step.Elapsed(), 3)});
         if (!barrier.dead.empty() || barrier.timed_out) {
             // The recovery invariant in action: once a rank is dead the
             // cluster stops advancing checkpoints — later generations
@@ -374,6 +445,7 @@ RunCoordinator(std::size_t ranks, std::size_t events,
     std::printf("peer_death events journaled: %zu\n", deaths_journaled);
     std::printf("straggler events journaled: %zu\n", stragglers_journaled);
 
+    const obs::ClusterAggregator& cluster = obs::ClusterAggregator::Instance();
     const auto health = cluster.Health();
     if (!health.empty()) {
         Table ht({"rank", "alive", "phase", "gen", "slack (s)", "straggler",
@@ -400,18 +472,8 @@ RunCoordinator(std::size_t ranks, std::size_t events,
                              "from\n");
         return 1;
     }
-    const ClusterRestoreResult restored =
-        ExecuteClusterRestore(manifest, store, *plan);
-    std::printf("recovered generation=%zu shards=%zu damaged=%zu "
-                "missing=%zu degraded=%zu\n",
-                restored.generation, restored.shards_restored,
-                restored.damaged.size(), plan->missing.size(),
-                restored.degraded.size());
-    const bool ok = restored.damaged.empty() && plan->missing.empty() &&
-                    restored.shards_restored > 0;
-    std::printf("gauntlet: %s\n", ok ? "OK" : "FAILED");
-    LingerLiveEndpoint(endpoint.get(), live.linger_s);
-    return ok ? 0 : 1;
+    return RestoreAndReport(manifest, store, *plan, "", endpoint.get(),
+                            live.linger_s);
 }
 
 /**
@@ -434,15 +496,9 @@ RunElasticCoordinator(std::size_t ranks, std::size_t events,
                       const LiveEndpointConfig& live_cfg) {
     FileStore store(ckpt_dir);
     const auto endpoint = StartLiveEndpoint(live_cfg);
-    auto transport =
-        net::SocketTransport::Listen(0, net::kCoordinatorPeer, net_opts);
-    WritePortFile(port_file, transport->port());
-    std::printf("coordinator: elastic, listening on 127.0.0.1:%u, waiting "
-                "for %zu rank(s)\n",
-                transport->port(), ranks);
-    if (!transport->WaitForPeers(ranks, join_timeout_s)) {
-        std::fprintf(stderr, "coordinator: only %zu/%zu ranks joined\n",
-                     transport->Peers().size(), ranks);
+    const auto transport = ListenForRanks(ranks, port_file, net_opts,
+                                          join_timeout_s, "elastic, ");
+    if (!transport) {
         return 1;
     }
 
@@ -460,13 +516,8 @@ RunElasticCoordinator(std::size_t ranks, std::size_t events,
     problem.current = InitialAssignments(ranks);
     PlacementPlan placement;
 
-    auto write_manifest = [&store, &manifest]() {
-        const std::string json = manifest.ToJson();
-        store.Put("meta/manifest", Blob(json.begin(), json.end()));
-    };
     auto write_membership = [&store, &membership]() {
-        const std::string json = membership.ToJson();
-        store.Put("meta/membership", Blob(json.begin(), json.end()));
+        PutJson(store, ckpt::kMembershipKey, membership.ToJson());
     };
     auto resolve_placement = [&membership, &problem, &placement]() {
         problem.live_ranks = membership.LiveRanks();
@@ -482,21 +533,8 @@ RunElasticCoordinator(std::size_t ranks, std::size_t events,
                     FormatBytes(placement.moved_bytes).c_str());
     };
 
-    obs::ClusterAggregator& cluster = obs::ClusterAggregator::Instance();
     CheckpointCoordinator coordinator(*transport, {});
-    coordinator.SetMessageObserver([&cluster](const net::Message& msg) {
-        if (msg.type == net::MsgType::kTelemetry) {
-            try {
-                cluster.Observe(
-                    net::DecodeTelemetry(msg.payload),
-                    static_cast<std::int64_t>(obs::Tracer::NowNs()));
-            } catch (const std::exception&) {
-            }
-        } else if (msg.type == net::MsgType::kPeerDeath) {
-            cluster.ObservePeerDeath(static_cast<std::int32_t>(msg.from),
-                                     "transport");
-        }
-    });
+    ObserveClusterPlane(coordinator);
 
     bool had_rejoin = false;
     // One admission + reply, shared by the initial handshake loop and the
@@ -570,26 +608,14 @@ RunElasticCoordinator(std::size_t ranks, std::size_t events,
         }
         coordinator.SetParticipants(participants);
 
-        obs::TraceContext ctx;
-        ctx.generation = event;
-        ctx.iteration = event;
-        ctx.phase = "barrier";
-        const obs::TraceContextScope scope(ctx);
         net::PayloadWriter extra_writer;
         ckpt::EncodePlacementAssignments(placement, extra_writer);
         const Blob extra = extra_writer.Take();
-        coordinator.BeginGeneration(event, ctx, &extra);
         gen_assignments[event] = placement.assignments;
-
-        WallClock clock;
-        const Seconds wait_start = clock.Now();
-        BarrierResult barrier;
-        {
-            const obs::TraceSpan span("net.barrier.wait", "net");
-            barrier = coordinator.AwaitReports(event, barrier_deadline_s);
-        }
-        RecordReports(manifest, barrier);
-        const bool sealed = SealIfComplete(manifest, event, barrier);
+        const BarrierStep step(coordinator, manifest, event,
+                               barrier_deadline_s, &extra);
+        const BarrierResult& barrier = step.barrier;
+        const bool sealed = step.sealed;
         for (const auto& done : barrier.reports) {
             membership.MarkLive(static_cast<std::size_t>(done.rank));
         }
@@ -627,16 +653,15 @@ RunElasticCoordinator(std::size_t ranks, std::size_t events,
         for (const auto& join : barrier.joins) {
             handle_join(join);
         }
-        write_manifest();
+        PutJson(store, kManifestKey, manifest.ToJson());
         write_membership();
         AccumulateBarrierBytes(barrier, bytes_total, bytes_saved);
-        SampleBarrier(event, clock.Now() - wait_start, bytes_total,
-                      bytes_saved);
+        SampleBarrier(event, step.Elapsed(), bytes_total, bytes_saved);
         t.AddRow({std::to_string(event), sealed ? "yes" : "no",
                   std::to_string(barrier.reports.size()),
                   std::to_string(barrier.dead.size()),
                   std::to_string(membership.LiveRanks().size()),
-                  Table::Num(clock.Now() - wait_start, 3)});
+                  Table::Num(step.Elapsed(), 3)});
     }
     coordinator.Shutdown();
     std::printf("%s", t.ToString().c_str());
@@ -690,20 +715,12 @@ RunElasticCoordinator(std::size_t ranks, std::size_t events,
     }
     const auto plan = PlanClusterRestore(manifest, std::nullopt,
                                          remap.empty() ? nullptr : &remap);
-    const ClusterRestoreResult restored =
-        ExecuteClusterRestore(manifest, store, *plan);
-    std::printf("recovered generation=%zu shards=%zu damaged=%zu "
-                "missing=%zu degraded=%zu\n",
-                restored.generation, restored.shards_restored,
-                restored.damaged.size(), plan->missing.size(),
-                restored.degraded.size());
-    std::printf("restore remap: %zu rank(s), %zu key override(s)\n",
-                remap.ranks.size(), remap.keys.size());
-    const bool ok = restored.damaged.empty() && plan->missing.empty() &&
-                    restored.shards_restored > 0;
-    std::printf("gauntlet: %s\n", ok ? "OK" : "FAILED");
-    LingerLiveEndpoint(endpoint.get(), live_cfg.linger_s);
-    return ok ? 0 : 1;
+    const std::string note = "restore remap: " +
+                             std::to_string(remap.ranks.size()) +
+                             " rank(s), " + std::to_string(remap.keys.size()) +
+                             " key override(s)\n";
+    return RestoreAndReport(manifest, store, *plan, note, endpoint.get(),
+                            live_cfg.linger_s);
 }
 
 int

@@ -48,7 +48,7 @@ int
 RestoreOnly(const std::string& ckpt_dir, const LmConfig& model_cfg) {
     FileStore disk(ckpt_dir);
     CheckpointManifest manifest;
-    const auto manifest_blob = disk.Get("meta/manifest");
+    const auto manifest_blob = disk.Get(kManifestKey);
     if (!manifest_blob) {
         std::printf("no meta/manifest in %s\n", ckpt_dir.c_str());
         return 2;

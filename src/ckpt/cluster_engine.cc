@@ -49,11 +49,6 @@ ClusterCheckpointEngine::ClusterCheckpointEngine(PersistentStore& store,
                                                  const ClusterEngineOptions& options)
     : store_(store), options_(options) {
     Init(num_ranks, cost, [&store](Bytes bytes) { return store.WriteTime(bytes); });
-    for (std::size_t r = 0; r < num_ranks; ++r) {
-        agents_.push_back(std::make_unique<AsyncCheckpointAgent>(
-            store, "rank" + std::to_string(r), cost));
-        agents_.back()->AttachPipeline(pipeline_.get());
-    }
 }
 
 ClusterCheckpointEngine::ClusterCheckpointEngine(ObjectStore& store,
@@ -64,45 +59,28 @@ ClusterCheckpointEngine::ClusterCheckpointEngine(ObjectStore& store,
     Init(num_ranks, cost, [bandwidth = cost.persist_bandwidth](Bytes bytes) {
         return static_cast<double>(bytes) / bandwidth;
     });
-    for (std::size_t r = 0; r < num_ranks; ++r) {
-        agents_.push_back(std::make_unique<AsyncCheckpointAgent>(
-            store, "rank" + std::to_string(r), cost));
-        agents_.back()->AttachPipeline(pipeline_.get());
-    }
 }
 
 void
 ClusterCheckpointEngine::Init(std::size_t num_ranks, const AgentCostModel& cost,
                               WriteCostFn write_cost) {
     MOC_CHECK_ARG(num_ranks >= 1, "need at least one rank");
-    if (options_.manifest != nullptr) {
-        manifest_ = options_.manifest;
-    } else {
-        owned_manifest_ = std::make_unique<CheckpointManifest>();
-        manifest_ = owned_manifest_.get();
+    PersistPipelineOptions pipe;
+    pipe.workers = num_ranks;
+    pipe.queue_capacity = 4 * pipe.workers;
+    pipe.dedup = options_.dedup;
+    pipe.delta = options_.delta;
+    pipe.delta_chunk_bytes = options_.delta_chunk_bytes;
+    pipe.max_delta_chain = options_.max_delta_chain;
+    pipe.time_scale = cost.time_scale;
+    if (options_.shard_deadline_s > 0.0 || options_.seal_deadline_s > 0.0) {
+        watchdog_ = std::make_unique<obs::StallWatchdog>();
+        pipe.watchdog = watchdog_.get();
+        pipe.shard_budget_s = options_.shard_deadline_s;
+        pipe.seal_budget_s = options_.seal_deadline_s;
     }
-    if (options_.per_shard) {
-        PersistPipelineOptions pipe;
-        pipe.workers = options_.persist_workers != 0 ? options_.persist_workers
-                                                     : num_ranks;
-        pipe.queue_capacity = options_.queue_capacity != 0
-                                  ? options_.queue_capacity
-                                  : 4 * pipe.workers;
-        pipe.verify = options_.verify;
-        pipe.dedup = options_.dedup;
-        pipe.delta = options_.delta;
-        pipe.delta_chunk_bytes = options_.delta_chunk_bytes;
-        pipe.max_delta_chain = options_.max_delta_chain;
-        pipe.time_scale = cost.time_scale;
-        if (options_.shard_deadline_s > 0.0 || options_.seal_deadline_s > 0.0) {
-            watchdog_ = std::make_unique<obs::StallWatchdog>();
-            pipe.watchdog = watchdog_.get();
-            pipe.shard_budget_s = options_.shard_deadline_s;
-            pipe.seal_budget_s = options_.seal_deadline_s;
-        }
-        pipeline_ = std::make_unique<PersistPipeline>(store_, *manifest_,
-                                                      std::move(write_cost), pipe);
-    }
+    pipeline_ = std::make_unique<PersistPipeline>(store_, manifest_,
+                                                  std::move(write_cost), pipe);
     // The begin/done barrier of every Execute runs over real Transport
     // endpoints (in-process mailboxes here; TCP in the multi-process
     // gauntlet), so the coordination protocol is exercised on every run.
@@ -117,7 +95,14 @@ ClusterCheckpointEngine::Init(std::size_t num_ranks, const AgentCostModel& cost,
     }
     coordinator_ = std::make_unique<CheckpointCoordinator>(
         *coord_transport_, std::move(participants));
+    // The agents persist only through the pipeline, which charges the
+    // write cost; the agent's own write-cost model is never consulted.
     agents_.reserve(num_ranks);
+    for (std::size_t r = 0; r < num_ranks; ++r) {
+        agents_.push_back(std::make_unique<AsyncCheckpointAgent>(
+            store_, "rank" + std::to_string(r), cost));
+        agents_.back()->AttachPipeline(pipeline_.get());
+    }
 }
 
 ClusterRunStats
@@ -134,18 +119,7 @@ ClusterCheckpointEngine::Execute(const ShardPlan& plan, const BlobProvider& prov
     stats.per_rank_snapshot.assign(agents_.size(), 0.0);
     stats.per_rank_serialize.assign(agents_.size(), 0.0);
 
-    if (pipeline_) {
-        pipeline_->BeginGeneration(iteration);
-    }
-    // Monolithic mode reports per-call deltas of the agents' lifetime
-    // totals (a second Execute used to double-count the first).
-    std::vector<AgentStats> before;
-    if (!pipeline_) {
-        before.reserve(agents_.size());
-        for (const auto& agent : agents_) {
-            before.push_back(agent->stats());
-        }
-    }
+    pipeline_->BeginGeneration(iteration);
 
     WallClock clock;
     const Seconds start = clock.Now();
@@ -186,38 +160,20 @@ ClusterCheckpointEngine::Execute(const ShardPlan& plan, const BlobProvider& prov
             // snapshot: folding it into the snapshot phase inflated the
             // Fig. 12 overlap numbers.
             const Seconds serialize_start = rank_clock.Now();
-            if (pipeline_) {
-                std::vector<NamedShard> shards;
-                shards.reserve(plan.Items(r).size());
-                {
-                    const obs::TraceSpan span("cluster.serialize", "cluster");
-                    for (const auto& item : plan.Items(r)) {
-                        shards.push_back(NamedShard{item.key, provider(item)});
-                    }
+            std::vector<NamedShard> shards;
+            shards.reserve(plan.Items(r).size());
+            {
+                const obs::TraceSpan span("cluster.serialize", "cluster");
+                for (const auto& item : plan.Items(r)) {
+                    shards.push_back(NamedShard{item.key, provider(item)});
                 }
-                stats.per_rank_serialize[r] = rank_clock.Now() - serialize_start;
-                const Seconds snapshot_start = rank_clock.Now();
-                agents_[r]->RequestShardedCheckpoint(std::move(shards),
-                                                     iteration, ctx);
-                agents_[r]->WaitSnapshotComplete();
-                stats.per_rank_snapshot[r] = rank_clock.Now() - snapshot_start;
-            } else {
-                Blob payload;
-                {
-                    const obs::TraceSpan span("cluster.serialize", "cluster");
-                    for (const auto& item : plan.Items(r)) {
-                        const Blob piece = provider(item);
-                        payload.insert(payload.end(), piece.begin(),
-                                       piece.end());
-                    }
-                }
-                stats.per_rank_serialize[r] = rank_clock.Now() - serialize_start;
-                const Seconds snapshot_start = rank_clock.Now();
-                agents_[r]->RequestCheckpoint(std::move(payload), iteration,
-                                              ctx);
-                agents_[r]->WaitSnapshotComplete();
-                stats.per_rank_snapshot[r] = rank_clock.Now() - snapshot_start;
             }
+            stats.per_rank_serialize[r] = rank_clock.Now() - serialize_start;
+            const Seconds snapshot_start = rank_clock.Now();
+            agents_[r]->RequestShardedCheckpoint(std::move(shards), iteration,
+                                                 ctx);
+            agents_[r]->WaitSnapshotComplete();
+            stats.per_rank_snapshot[r] = rank_clock.Now() - snapshot_start;
             // Snapshot landed: report done over the transport. Shard
             // integrity reports stay empty in-process — the pipeline
             // records them in the manifest directly; the multi-process
@@ -249,37 +205,23 @@ ClusterCheckpointEngine::Execute(const ShardPlan& plan, const BlobProvider& prov
     for (auto& agent : agents_) {
         agent->Drain();
     }
-    if (pipeline_) {
-        const GenerationCommitStats gen = pipeline_->FinishGeneration();
-        stats.keys_persisted = gen.shards_written;
-        stats.bytes_persisted = gen.bytes_written;
-        stats.keys_deduped = gen.shards_deduped;
-        stats.bytes_deduped = gen.bytes_deduped;
-        stats.keys_delta = gen.shards_delta;
-        stats.bytes_delta_saved = gen.bytes_delta_saved;
-        stats.forced_full = gen.forced_full;
-        stats.persist_failures = gen.failures;
-        stats.sealed = gen.sealed;
-        if (!options_.manifest_key.empty()) {
-            const std::string json = manifest_->ToJson();
-            try {
-                store_.Put(options_.manifest_key, Blob(json.begin(), json.end()));
-            } catch (const StoreError& e) {
-                MOC_WARN << "cluster: manifest write failed ("
-                         << StoreErrorKindName(e.kind())
-                         << "); offline audit will lag one generation";
-            }
-        }
-    } else {
-        for (std::size_t r = 0; r < agents_.size(); ++r) {
-            const AgentStats after = agents_[r]->stats();
-            stats.keys_persisted +=
-                after.checkpoints_persisted - before[r].checkpoints_persisted;
-            stats.bytes_persisted +=
-                after.bytes_persisted - before[r].bytes_persisted;
-            stats.persist_failures +=
-                after.persist_failures - before[r].persist_failures;
-        }
+    const GenerationCommitStats gen = pipeline_->FinishGeneration();
+    stats.keys_persisted = gen.shards_written;
+    stats.bytes_persisted = gen.bytes_written;
+    stats.keys_deduped = gen.shards_deduped;
+    stats.bytes_deduped = gen.bytes_deduped;
+    stats.keys_delta = gen.shards_delta;
+    stats.bytes_delta_saved = gen.bytes_delta_saved;
+    stats.forced_full = gen.forced_full;
+    stats.persist_failures = gen.failures;
+    stats.sealed = gen.sealed;
+    const std::string json = manifest_.ToJson();
+    try {
+        store_.Put(kManifestKey, Blob(json.begin(), json.end()));
+    } catch (const StoreError& e) {
+        MOC_WARN << "cluster: manifest write failed ("
+                 << StoreErrorKindName(e.kind())
+                 << "); offline audit will lag one generation";
     }
     stats.total_makespan = clock.Now() - start;
     last_iteration_ = iteration;

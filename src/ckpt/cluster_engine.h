@@ -15,9 +15,10 @@
  * pool that CRC-verifies each write and dedups shards unchanged since the
  * last sealed generation; the generation is sealed in the manifest — and
  * only then offered as a restart target — when every rank's every shard
- * landed and verified. A legacy monolithic mode (one latest-wins blob per
- * rank, no manifest) remains for A/B measurement of exactly the torn-
- * checkpoint failure mode the protocol removes.
+ * landed and verified. After every event the manifest JSON is written to
+ * kManifestKey (best-effort) so offline tools (`moc_cli fsck`) can audit
+ * the directory. bench_persist_pipeline A/Bs dedup against full per-shard
+ * writes.
  */
 
 #include <functional>
@@ -56,34 +57,15 @@ BlobProvider SyntheticBlobProvider(std::uint64_t salt = 0);
 
 /** Persist-path configuration of the engine. */
 struct ClusterEngineOptions {
-    /** Per-shard keyed commit protocol; false = legacy monolithic blobs. */
-    bool per_shard = true;
     /** Content-hash dedup against the last sealed generation. */
     bool dedup = true;
     /** Delta-encode changed shards against the last sealed generation
-        (ckpt/persist_pipeline.h). Per-shard mode only. */
+        (ckpt/persist_pipeline.h). */
     bool delta = false;
     /** Chunk granularity of the delta diff. */
     std::size_t delta_chunk_bytes = 64 * 1024;
     /** Deltas allowed on one full write before a full write is forced. */
     std::size_t max_delta_chain = 8;
-    /** Read back and CRC-verify every shard write before recording it. */
-    bool verify = true;
-    /** Persist pool workers; 0 = one per rank. */
-    std::size_t persist_workers = 0;
-    /** Bounded submit queue depth; 0 = 4x workers. */
-    std::size_t queue_capacity = 0;
-    /**
-     * Generation registry. nullptr = the engine owns a private manifest
-     * (see manifest()). The caller keeps ownership otherwise.
-     */
-    CheckpointManifest* manifest = nullptr;
-    /**
-     * Store key the manifest JSON is written to after every event
-     * (best-effort), so offline tools (`moc_cli fsck`) can audit the
-     * directory. Empty = don't write.
-     */
-    std::string manifest_key = "meta/manifest";
     /**
      * Stall-watchdog deadline for one shard write+verify, wall seconds.
      * Any positive budget makes the engine own a StallWatchdog and wire it
@@ -116,7 +98,7 @@ struct ClusterRunStats {
     std::vector<Seconds> per_rank_snapshot;
     /** Per-rank CPU-side blob serialization durations (provider calls). */
     std::vector<Seconds> per_rank_serialize;
-    /** Shards (or monolithic blobs) physically persisted by this call. */
+    /** Shards physically persisted by this call. */
     std::size_t keys_persisted = 0;
     /** Physical bytes written by this call. */
     Bytes bytes_persisted = 0;
@@ -132,9 +114,9 @@ struct ClusterRunStats {
     std::size_t forced_full = 0;
     /** Shard writes that failed (StoreError or verify mismatch). */
     std::size_t persist_failures = 0;
-    /** The generation this event committed (per-shard mode). */
+    /** The generation this event committed. */
     std::size_t generation = 0;
-    /** Commit protocol outcome; always false in monolithic mode. */
+    /** Commit protocol outcome: every shard landed and verified. */
     bool sealed = false;
 };
 
@@ -174,7 +156,7 @@ class ClusterCheckpointEngine {
     std::size_t num_ranks() const { return agents_.size(); }
 
     /** The generation registry the commit protocol writes to. */
-    const CheckpointManifest& manifest() const { return *manifest_; }
+    const CheckpointManifest& manifest() const { return manifest_; }
 
     const ClusterEngineOptions& options() const { return options_; }
 
@@ -184,8 +166,7 @@ class ClusterCheckpointEngine {
 
     ObjectStore& store_;
     ClusterEngineOptions options_;
-    std::unique_ptr<CheckpointManifest> owned_manifest_;
-    CheckpointManifest* manifest_ = nullptr;
+    CheckpointManifest manifest_;
     /**
      * Rank coordination fabric: the begin/done barrier of every Execute
      * runs over these InprocTransport endpoints — the same protocol

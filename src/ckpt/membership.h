@@ -45,6 +45,9 @@
 
 namespace moc::ckpt {
 
+/** Store key the membership document is persisted under. */
+inline constexpr const char* kMembershipKey = "meta/membership";
+
 /** Where a rank sits in the membership lifecycle. */
 enum class MemberState : std::uint8_t {
     kJoined,   ///< admitted, not yet heard from in a barrier

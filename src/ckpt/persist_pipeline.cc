@@ -292,7 +292,7 @@ PersistPipeline::Execute(Job job) {
                  : VersionedShardKey(job.key, job.iteration);
 
     bool written = false;
-    bool verified = !options_.verify;  // unverified mode trusts the write
+    bool verified = false;
     // The watchdog covers the whole write+verify: a latency spike inside
     // Put (FaultyStore) or a hung filesystem fires a `stall` event while
     // this op is still blocked.
@@ -309,16 +309,13 @@ PersistPipeline::Execute(Job job) {
             store_.Put(physical, wire);
             written = true;
         }
-        if (options_.verify) {
-            obs::TraceContext verify_ctx = job.ctx;
-            verify_ctx.phase = "verify";
-            const obs::TraceContextScope verify_scope(verify_ctx);
-            const obs::TraceSpan verify_span("cluster.verify_shard",
-                                             "cluster");
-            const auto readback = store_.Get(physical);
-            verified = readback.has_value() && readback->size() == wire_size &&
-                       Crc32c(readback->data(), readback->size()) == wire_crc;
-        }
+        obs::TraceContext verify_ctx = job.ctx;
+        verify_ctx.phase = "verify";
+        const obs::TraceContextScope verify_scope(verify_ctx);
+        const obs::TraceSpan verify_span("cluster.verify_shard", "cluster");
+        const auto readback = store_.Get(physical);
+        verified = readback.has_value() && readback->size() == wire_size &&
+                   Crc32c(readback->data(), readback->size()) == wire_crc;
     } catch (const StoreError& e) {
         obs::JournalEvent fault;
         fault.kind = obs::EventKind::kStorageFault;

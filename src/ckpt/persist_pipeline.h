@@ -11,8 +11,8 @@
  *  - every shard is written under its *versioned* key
  *    ("<rank>/<unit>@<iteration>", see VersionedShardKey), never
  *    latest-wins, so a failing event cannot damage an older generation;
- *  - each write is CRC-32C hashed and (optionally) read back and verified
- *    before the manifest records it;
+ *  - each write is CRC-32C hashed, read back and verified before the
+ *    manifest records it;
  *  - a shard whose content identity — (byte size, CRC-32C, xxHash64), two
  *    structurally unrelated hashes so a 32-bit collision cannot silently
  *    alias two different blobs — matches the last *sealed* generation's
@@ -61,8 +61,6 @@ struct PersistPipelineOptions {
     std::size_t workers = 4;
     /** Bounded queue depth; Submit blocks when full (backpressure). */
     std::size_t queue_capacity = 16;
-    /** Read every write back and compare its CRC-32C before recording. */
-    bool verify = true;
     /** Skip re-persisting shards unchanged since the last sealed gen. */
     bool dedup = true;
     /** Delta-encode changed shards against the last sealed generation. */
@@ -91,7 +89,7 @@ struct GenerationCommitStats {
     std::size_t iteration = 0;
     /** Shards submitted to this generation. */
     std::size_t shards = 0;
-    /** Shards physically written (and verified, if enabled). */
+    /** Shards physically written and verified. */
     std::size_t shards_written = 0;
     /** Shards recorded by reference to an older identical blob. */
     std::size_t shards_deduped = 0;

@@ -56,7 +56,7 @@ class TripleBuffer {
 
     /** Payload of one buffer. */
     struct Slot {
-        /** Monolithic payload (legacy latest-wins persist path). */
+        /** Single-blob payload (the agent's latest-wins blob sink). */
         Blob data;
         /** Keyed shards (per-shard persist path); empty in blob mode. */
         std::vector<NamedShard> shards;

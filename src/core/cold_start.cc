@@ -122,7 +122,7 @@ ColdStartFromStore(ParamSource& model, const ObjectStore& store,
         MOC_WARN << "cold start: generation " << generation
                  << " unusable; trying an older one";
     }
-    throw StoreError(StoreErrorKind::kCorrupt, "meta/manifest",
+    throw StoreError(StoreErrorKind::kCorrupt, kManifestKey,
                      "no checkpoint generation in this store can be "
                      "restored with verification");
 }

@@ -353,7 +353,7 @@ void
 MocCheckpointSystem::WriteManifestBlob() {
     const std::string json = manifest_.ToJson();
     try {
-        persist_->Put("meta/manifest", Blob(json.begin(), json.end()));
+        persist_->Put(kManifestKey, Blob(json.begin(), json.end()));
     } catch (const StoreError& e) {
         obs::EventJournal::Instance().Append(
             {.kind = obs::EventKind::kStorageFault,
@@ -729,7 +729,7 @@ MocCheckpointSystem::RecoverFromFault(const std::vector<NodeId>& failed_nodes) {
     }
     if (!restored) {
         WriteManifestBlob();  // record what recovery learned about damage
-        throw StoreError(StoreErrorKind::kCorrupt, "meta/manifest",
+        throw StoreError(StoreErrorKind::kCorrupt, kManifestKey,
                          "no restartable checkpoint generation survives");
     }
     MOC_ASSERT(report.extra.iteration == report.plan.restart_iteration,

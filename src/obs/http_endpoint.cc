@@ -403,12 +403,14 @@ HttpEndpoint::HandleConnection(int fd) {
             response = Dispatch(method, path, query);
         }
     }
-    WriteResponse(fd, response);
-    CloseFd(fd);
+    // Count before replying: a client that has read its reply must already
+    // see its request in obs.http.requests.
     requests.Add();
     if (response.status >= 400) {
         errors.Add();
     }
+    WriteResponse(fd, response);
+    CloseFd(fd);
 }
 
 HttpResponse

@@ -42,6 +42,9 @@
 
 namespace moc {
 
+/** Store key the manifest JSON is persisted under, next to the shards. */
+inline constexpr const char* kManifestKey = "meta/manifest";
+
 /** The two levels of the checkpoint hierarchy. */
 enum class StoreLevel { kMemory, kPersist };
 

@@ -329,20 +329,6 @@ TEST(ClusterFaults, PerShardStatsReportPerCallDeltas) {
     EXPECT_EQ(first.bytes_persisted, second.bytes_persisted);
 }
 
-TEST(ClusterFaults, MonolithicStatsReportPerCallDeltas) {
-    PersistentStore store({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
-                           .latency = 0.0});
-    ClusterEngineOptions opt;
-    opt.per_shard = false;
-    ClusterCheckpointEngine engine(store, 2, FastCost(), opt);
-    const auto plan = ExpertPlan(2, 2);
-    const auto first = engine.Execute(plan, SyntheticBlobProvider(1), 1);
-    const auto second = engine.Execute(plan, SyntheticBlobProvider(2), 2);
-    EXPECT_EQ(first.keys_persisted, 2U);   // one blob per rank
-    EXPECT_EQ(second.keys_persisted, 2U);  // not 4: per-call, not lifetime
-    EXPECT_EQ(first.bytes_persisted, second.bytes_persisted);
-}
-
 TEST(ClusterFaults, UnchangedEventDedupsEverything) {
     PersistentStore store({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
                            .latency = 0.0});

@@ -279,12 +279,17 @@ TEST_F(ObsHttpTest, CustomRoutesAndRequestCounting) {
     auto& requests =
         obs::MetricsRegistry::Instance().GetCounter("obs.http.requests");
     const std::uint64_t before = requests.value();
-    const auto reply =
-        obs::HttpGet("127.0.0.1", endpoint.port(), "/custom?k=v");
-    ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(reply->status, 200);
-    EXPECT_EQ(reply->body, "query=k=v");
-    EXPECT_EQ(requests.value(), before + 1);
+    // The counter is bumped before the reply is written, so a client that
+    // has its reply in hand always sees its own request counted.
+    for (std::uint64_t i = 1; i <= 20; ++i) {
+        const std::string query = "k=" + std::to_string(i);
+        const auto reply =
+            obs::HttpGet("127.0.0.1", endpoint.port(), "/custom?" + query);
+        ASSERT_TRUE(reply.has_value()) << "request " << i;
+        EXPECT_EQ(reply->status, 200);
+        EXPECT_EQ(reply->body, "query=" + query);
+        EXPECT_EQ(requests.value(), before + i) << "request " << i;
+    }
     endpoint.Stop();
     // Stop is idempotent, and a stopped endpoint is unreachable.
     endpoint.Stop();

@@ -143,24 +143,6 @@ TEST(ClusterEngine, ExecutesPlanAndPersistsEveryRankPerShard) {
     EXPECT_TRUE(store.Contains("meta/manifest"));
 }
 
-TEST(ClusterEngine, MonolithicModeKeepsLatestWinsBlobs) {
-    PersistentStore store;
-    ClusterEngineOptions opt;
-    opt.per_shard = false;
-    ClusterCheckpointEngine engine(store, 2, FastCluster(), opt);
-
-    ShardPlan plan(2);
-    for (RankId r = 0; r < 2; ++r) {
-        plan.Add(r, {"unit/" + std::to_string(r), 256 * kKiB, false});
-    }
-    const auto stats = engine.Execute(plan, SyntheticBlobProvider(), 1);
-    EXPECT_EQ(stats.keys_persisted, 2U);  // one blob per rank
-    EXPECT_FALSE(stats.sealed);           // no commit protocol in this mode
-    for (RankId r = 0; r < 2; ++r) {
-        EXPECT_TRUE(store.Contains("rank" + std::to_string(r) + "/ckpt"));
-    }
-}
-
 TEST(ClusterEngine, MakespanSetByBottleneckRank) {
     StorageIoModel io;
     io.latency = 0.0;

@@ -248,15 +248,15 @@ RunFsck(const Args& args, std::ostream& out) {
     bool have_manifest = false;
     std::string manifest_error;
     {
-        const auto it = files.find("meta/manifest");
+        const auto it = files.find(kManifestKey);
         if (it == files.end()) {
-            manifest_error = "meta/manifest not found";
+            manifest_error = std::string(kManifestKey) + " not found";
         } else if (!it->second.readable) {
-            manifest_error = "meta/manifest unreadable (" + it->second.error +
-                             ")";
+            manifest_error = std::string(kManifestKey) + " unreadable (" +
+                             it->second.error + ")";
         } else {
             try {
-                const auto blob = store.Get("meta/manifest");
+                const auto blob = store.Get(kManifestKey);
                 manifest.LoadFromJson(
                     std::string(blob->begin(), blob->end()));
                 have_manifest = true;
@@ -271,10 +271,10 @@ RunFsck(const Args& args, std::ostream& out) {
     // skipped entirely.
     std::optional<ckpt::MembershipSnapshot> membership;
     {
-        const auto it = files.find("meta/membership");
+        const auto it = files.find(ckpt::kMembershipKey);
         if (it != files.end() && it->second.readable) {
             try {
-                const auto blob = store.Get("meta/membership");
+                const auto blob = store.Get(ckpt::kMembershipKey);
                 membership = ckpt::ParseMembershipJson(
                     std::string(blob->begin(), blob->end()));
             } catch (const std::exception&) {
