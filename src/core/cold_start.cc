@@ -8,25 +8,18 @@ namespace moc {
 
 namespace {
 
-/**
- * Reads one manifest-recorded version from @p store, accepting whichever
- * copy (plain latest-wins key or generation twin) CRC-matches the record.
- */
+/** Reads one manifest-recorded version from @p store, CRC-verified. */
 std::optional<Blob>
 ReadVerified(const ObjectStore& store, const std::string& key,
              const PersistVersion& version) {
-    const std::string sources[] = {
-        key, MocCheckpointSystem::GenKey(version.iteration, key)};
-    for (const auto& source : sources) {
-        try {
-            auto blob = store.Get(source);
-            if (blob.has_value() &&
-                Crc32c(blob->data(), blob->size()) == version.crc) {
-                return blob;
-            }
-        } catch (const std::runtime_error&) {
-            // Typed corruption from the backend; try the twin.
+    try {
+        auto blob = store.Get(MocCheckpointSystem::GenKey(version.iteration, key));
+        if (blob.has_value() &&
+            Crc32c(blob->data(), blob->size()) == version.crc) {
+            return blob;
         }
+    } catch (const std::runtime_error&) {
+        // Typed corruption from the backend: the version is unusable.
     }
     return std::nullopt;
 }
@@ -35,26 +28,13 @@ ReadVerified(const ObjectStore& store, const std::string& key,
 
 ColdStartReport
 ColdStartFromStore(ParamSource& model, const ObjectStore& store) {
-    ColdStartReport report;
-    const auto extra_blob = store.Get("extra/state");
-    MOC_CHECK_ARG(extra_blob.has_value(),
-                  "store has no extra/state: not a MoC checkpoint store");
-    report.extra = DeserializeExtraState(*extra_blob);
-
-    for (auto& group : model.ParameterGroups()) {
-        for (const bool weights : {true, false}) {
-            const std::string key = group.key + (weights ? "/w" : "/o");
-            const auto blob = store.Get(key);
-            if (!blob.has_value()) {
-                report.missing.push_back(key);
-                continue;
-            }
-            DeserializeParamList(*blob, group.params, weights);
-            ++report.keys_restored;
-            report.bytes_read += blob->size();
-        }
-    }
-    return report;
+    const auto manifest_blob = store.Get(kManifestKey);
+    MOC_CHECK_ARG(manifest_blob.has_value(), "store has no "
+                                                 << kManifestKey
+                                                 << ": not a MoC checkpoint store");
+    CheckpointManifest manifest;
+    manifest.LoadFromJson(std::string(manifest_blob->begin(), manifest_blob->end()));
+    return ColdStartFromStore(model, store, manifest);
 }
 
 ColdStartReport

@@ -25,33 +25,34 @@ struct ColdStartReport {
     /** Units restored (weight + optimizer blobs). */
     std::size_t keys_restored = 0;
     Bytes bytes_read = 0;
-    /** Units absent from the store and left at their fresh-init values. */
+    /** Units the manifest never recorded, left at their fresh-init values. */
     std::vector<std::string> missing;
-    /** Units restored from an older verified version (manifest overload). */
+    /** Units restored from an older verified version. */
     std::vector<DegradedKey> degraded;
-    /** The checkpoint generation restored (manifest overload). */
+    /** The checkpoint generation restored. */
     std::size_t generation = 0;
 };
 
 /**
- * Restores @p model (weights and Adam moments) from @p store.
+ * Restores @p model (weights and Adam moments) from @p store through the
+ * manifest the store carries under kManifestKey: the manifest-aware
+ * overload below, with the store's own integrity record.
  *
- * Every parameter group looks up "<key>/w" and "<key>/o"; groups absent
- * from the store are reported in `missing` and keep their constructor
- * values (legitimate for a store written before those modules existed).
- *
- * @throws std::runtime_error on corrupt blobs; std::invalid_argument if the
- *         store has no "extra/state" (not a MoC checkpoint store).
+ * @throws std::invalid_argument if the store has no manifest (not a MoC
+ *         checkpoint store) or it does not parse; StoreError{kCorrupt} when
+ *         no generation can be restored.
  */
 ColdStartReport ColdStartFromStore(ParamSource& model, const ObjectStore& store);
 
 /**
  * Manifest-aware cold start: restores from the newest eligible checkpoint
- * generation, CRC-verifying every blob against the manifest record and
- * walking each key's verified-version fallback chain (plain key, then the
- * `gen/<iter>/...` twin) when the preferred copy is damaged. Keys restored
- * below the planned iteration are listed in `degraded`; generations whose
- * non-expert or extra state cannot be verified are skipped entirely.
+ * generation, CRC-verifying every blob (the single `gen/<iter>/<key>` copy
+ * of each version) against the manifest record and walking each key's
+ * verified-version fallback chain when the preferred version is damaged.
+ * Units the manifest never recorded are listed in `missing` and keep their
+ * constructor values; keys restored below the planned iteration are listed
+ * in `degraded`; generations whose non-expert or extra state cannot be
+ * verified are skipped entirely.
  *
  * @throws StoreError{kCorrupt} when no generation can be restored.
  */

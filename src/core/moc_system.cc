@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <sstream>
+#include <thread>
 
 #include "obs/expert_stats.h"
 #include "obs/journal.h"
@@ -191,7 +193,9 @@ MocCheckpointSystem::MocCheckpointSystem(const MocSystemConfig& config,
       topology_(topology),
       spec_(spec),
       ledger_(std::max<std::size_t>(1, spec.NumMoeLayers()), spec.num_experts),
-      memory_(topology.num_nodes()) {
+      memory_(topology.num_nodes()),
+      persist_pool_(std::min<std::size_t>(
+          4, std::max(1U, std::thread::hardware_concurrency()))) {
     MOC_CHECK_ARG(config.i_ckpt >= 1, "i_ckpt must be >= 1");
     MOC_CHECK_ARG(spec.NumMoeLayers() >= 1, "MoC-System requires an MoE model");
 
@@ -234,41 +238,15 @@ MocCheckpointSystem::MocCheckpointSystem(const MocSystemConfig& config,
                   "persist_generations must be >= 1");
 
     // The resilient persist path: retries + write verification over the
-    // configured backend, with read repair from surviving memory replicas
-    // and the versioned/plain twin key (docs/FAULT_MODEL.md).
+    // configured backend, with read repair from a surviving memory replica
+    // (docs/FAULT_MODEL.md). Every persisted key is GenKey(iteration, unit);
+    // GetChecked CRC-checks the replica against the damaged version's record.
     persist_ = std::make_unique<ResilientStore>(
         PersistBackend(), config_.retry,
         [this](const std::string& damaged) -> std::optional<Blob> {
-            std::string plain = damaged;
-            std::optional<std::size_t> iteration;
-            if (damaged.rfind("gen/", 0) == 0) {
-                const auto slash = damaged.find('/', 4);
-                if (slash != std::string::npos) {
-                    plain = damaged.substr(slash + 1);
-                    iteration = static_cast<std::size_t>(
-                        std::stoull(damaged.substr(4, slash - 4)));
-                }
-            }
-            // Surviving memory replica of the same key (two-level bonus).
-            if (auto mem = manifest_.Latest(StoreLevel::kMemory, plain)) {
-                if (auto blob = memory_.Node(mem->node).Get(plain)) {
-                    return blob;
-                }
-            }
-            // The twin copy in the backend itself; the caller CRC-checks.
-            auto read_raw = [this](const std::string& key)
-                -> std::optional<Blob> {
-                try {
-                    return PersistBackend().Get(key);
-                } catch (const std::runtime_error&) {
-                    return std::nullopt;
-                }
-            };
-            if (iteration.has_value()) {
-                return read_raw(plain);
-            }
-            if (auto latest = manifest_.Latest(StoreLevel::kPersist, plain)) {
-                return read_raw(GenKey(latest->iteration, plain));
+            const std::string unit = damaged.substr(damaged.find('/', 4) + 1);
+            if (auto mem = manifest_.Latest(StoreLevel::kMemory, unit)) {
+                return memory_.Node(mem->node).Get(unit);
             }
             return std::nullopt;
         });
@@ -286,12 +264,14 @@ MocCheckpointSystem::MocCheckpointSystem(const MocSystemConfig& config,
          .k = config_.pec.k_snapshot,
          .detail = "initial full checkpoint"});
     CheckpointReport report;
+    std::vector<PersistJob> jobs;
     for (const auto& group : model_.ParameterGroups()) {
-        SaveGroup(group, 0, /*weights=*/true, true, true, report);
-        SaveGroup(group, 0, /*weights=*/false, true, true, report);
+        SaveGroup(group, 0, /*weights=*/true, true, true, report, jobs);
+        SaveGroup(group, 0, /*weights=*/false, true, true, report, jobs);
     }
-    PersistShard("extra/state", SerializeExtraState(initial_extra), 0,
-                 /*fatal_on_failure=*/true);
+    jobs.push_back({"extra/state", SerializeExtraState(initial_extra),
+                    /*unit=*/false, std::nullopt});
+    PersistAll(jobs, 0);
     manifest_.MarkCheckpointComplete(StoreLevel::kMemory, 0);
     manifest_.MarkCheckpointComplete(StoreLevel::kPersist, 0);
     WriteManifestBlob();
@@ -316,37 +296,72 @@ MocCheckpointSystem::PersistBackend() {
 }
 
 void
-MocCheckpointSystem::PersistShard(const std::string& key, Blob blob,
-                                  std::size_t iteration,
-                                  bool fatal_on_failure) {
-    const Bytes size = blob.size();
-    // Manifest CRCs are CRC-32C: the blob's embedded per-tensor IEEE
-    // trailers make a same-polynomial outer CRC payload-blind (see
-    // util/crc32.h).
-    const std::uint32_t crc = Crc32c(blob.data(), blob.size());
-    bool verified = true;
-    try {
-        persist_->Put(key, blob);
-        persist_->Put(GenKey(iteration, key), std::move(blob));
-    } catch (const StoreError& e) {
-        if (fatal_on_failure) {
-            throw;
-        }
-        verified = false;
-        static obs::Counter& failures =
-            obs::MetricsRegistry::Instance().GetCounter(
-                "ckpt.persist_shard_failures");
-        failures.Add();
-        obs::EventJournal::Instance().Append(
-            {.kind = obs::EventKind::kStorageFault,
-             .iteration = iteration,
-             .bytes = size,
-             .detail = std::string("persist failed: ") + e.what()});
-        MOC_WARN << "ckpt: persist of " << key << " failed ("
-                 << StoreErrorKindName(e.kind())
-                 << "); shard recorded unverified";
+MocCheckpointSystem::PersistAll(std::vector<PersistJob>& jobs,
+                                std::size_t iteration) {
+    // Fan the writes out; each runs the full resilient Put (write, fsync,
+    // rename, read-back verify) on a worker under this event's context.
+    const obs::TraceContext ctx = obs::CurrentTraceContext();
+    std::vector<Bytes> sizes(jobs.size());
+    std::vector<std::uint32_t> crcs(jobs.size());
+    std::vector<std::future<void>> writes;
+    writes.reserve(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        sizes[i] = jobs[i].blob.size();
+        writes.push_back(persist_pool_.Submit([this, &jobs, &crcs, ctx,
+                                               iteration, i] {
+            const obs::TraceContextScope trace_scope(ctx);
+            PersistJob& job = jobs[i];
+            // Manifest CRCs are CRC-32C: the blob's embedded per-tensor IEEE
+            // trailers make a same-polynomial outer CRC payload-blind (see
+            // util/crc32.h).
+            crcs[i] = Crc32c(job.blob.data(), job.blob.size());
+            persist_->Put(GenKey(iteration, job.key), std::move(job.blob));
+        }));
     }
-    manifest_.RecordPersistVersion(key, iteration, size, crc, verified);
+    // Join every write before reading any outcome, then record them in plan
+    // order: the manifest, the journal and a rethrown failure stay
+    // deterministic.
+    persist_pool_.Wait();
+    auto& journal = obs::EventJournal::Instance();
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const PersistJob& job = jobs[i];
+        bool verified = true;
+        try {
+            writes[i].get();
+        } catch (const StoreError& e) {
+            // The initial checkpoint must land: every later recovery
+            // bottoms out on generation 0.
+            if (iteration == 0) {
+                throw;
+            }
+            verified = false;
+            static obs::Counter& failures =
+                obs::MetricsRegistry::Instance().GetCounter(
+                    "ckpt.persist_shard_failures");
+            failures.Add();
+            journal.Append(
+                {.kind = obs::EventKind::kStorageFault,
+                 .iteration = iteration,
+                 .bytes = sizes[i],
+                 .detail = std::string("persist failed: ") + e.what()});
+            MOC_WARN << "ckpt: persist of " << job.key << " failed ("
+                     << StoreErrorKindName(e.kind())
+                     << "); shard recorded unverified";
+        }
+        manifest_.RecordPersistVersion(job.key, iteration, sizes[i], crcs[i],
+                                       verified);
+        if (!job.unit) {
+            continue;
+        }
+        journal.Append({.kind = obs::EventKind::kPersist,
+                        .iteration = iteration,
+                        .bytes = sizes[i],
+                        .detail = job.key});
+        if (job.expert.has_value()) {
+            obs::ExpertStatsRegistry::Instance().OnPersist(
+                job.expert->first, job.expert->second, iteration, sizes[i]);
+        }
+    }
 }
 
 void
@@ -365,25 +380,11 @@ MocCheckpointSystem::WriteManifestBlob() {
 std::optional<Blob>
 MocCheckpointSystem::ReadPersistVersion(const std::string& key,
                                         const PersistVersion& version) const {
-    // The plain latest-wins key holds this version only when it is the
-    // newest; the generation twin is authoritative either way. Trying the
-    // plain key first lets GetChecked read-repair it in place.
-    std::vector<std::string> sources;
-    if (const auto latest = manifest_.Latest(StoreLevel::kPersist, key);
-        latest.has_value() && latest->iteration == version.iteration) {
-        sources.push_back(key);
+    try {
+        return persist_->GetChecked(GenKey(version.iteration, key), version.crc);
+    } catch (const StoreError&) {
+        return std::nullopt;  // damaged beyond repair or retry-exhausted
     }
-    sources.push_back(GenKey(version.iteration, key));
-    for (const auto& source : sources) {
-        try {
-            if (auto blob = persist_->GetChecked(source, version.crc)) {
-                return blob;
-            }
-        } catch (const StoreError&) {
-            // Damaged or retry-exhausted under this name; try the twin.
-        }
-    }
-    return std::nullopt;
 }
 
 std::vector<NodeId>
@@ -409,11 +410,12 @@ MocCheckpointSystem::NonExpertOwnerNode(const std::string& key) const {
 void
 MocCheckpointSystem::SaveGroup(const ParamGroup& group, std::size_t iteration,
                                bool weights, bool to_memory, bool to_persist,
-                               CheckpointReport& report) {
+                               CheckpointReport& report,
+                               std::vector<PersistJob>& persist) {
     if (!to_memory && !to_persist) {
         return;
     }
-    const Blob blob = SerializeParamList(group.params, weights);
+    Blob blob = SerializeParamList(group.params, weights);
     const std::string key = group.key + (weights ? "/w" : "/o");
     const Bytes size = blob.size();
 
@@ -442,18 +444,12 @@ MocCheckpointSystem::SaveGroup(const ParamGroup& group, std::size_t iteration,
         }
     }
     if (to_persist) {
-        // The initial checkpoint must land: every later recovery bottoms
-        // out on generation 0.
-        PersistShard(key, blob, iteration, /*fatal_on_failure=*/iteration == 0);
         report.persist_bytes += size;
-        journal.Append({.kind = obs::EventKind::kPersist,
-                        .iteration = iteration,
-                        .bytes = size,
-                        .detail = key});
+        std::optional<std::pair<std::size_t, ExpertId>> expert;
         if (group.kind == ModuleKind::kExpert) {
-            expert_stats.OnPersist(group.moe_index, group.expert, iteration,
-                                   size);
+            expert = {group.moe_index, group.expert};
         }
+        persist.push_back({key, std::move(blob), /*unit=*/true, expert});
     }
 }
 
@@ -482,10 +478,11 @@ MocCheckpointSystem::Checkpoint(std::size_t iteration, const ExtraState& extra) 
     report.iteration = iteration;
     const PecConfig& pec = planner_->config();
 
+    std::vector<PersistJob> jobs;
     for (const auto& group : model_.ParameterGroups()) {
         if (group.kind != ModuleKind::kExpert) {
-            SaveGroup(group, iteration, true, true, true, report);
-            SaveGroup(group, iteration, false, true, true, report);
+            SaveGroup(group, iteration, true, true, true, report, jobs);
+            SaveGroup(group, iteration, false, true, true, report, jobs);
             continue;
         }
         const std::size_t m = group.moe_index;
@@ -496,15 +493,16 @@ MocCheckpointSystem::Checkpoint(std::size_t iteration, const ExtraState& extra) 
         const bool pers_w = !pec.pec_on_weights || in_pers;
         const bool snap_o = !pec.pec_on_optimizer || in_snap;
         const bool pers_o = !pec.pec_on_optimizer || in_pers;
-        SaveGroup(group, iteration, true, snap_w, pers_w, report);
-        SaveGroup(group, iteration, false, snap_o, pers_o, report);
+        SaveGroup(group, iteration, true, snap_w, pers_w, report, jobs);
+        SaveGroup(group, iteration, false, snap_o, pers_o, report, jobs);
         if (snap_w || snap_o) {
             last_snap_iter_[m][e] = iteration;
         }
     }
 
-    PersistShard("extra/state", SerializeExtraState(extra), iteration,
-                 /*fatal_on_failure=*/false);
+    jobs.push_back({"extra/state", SerializeExtraState(extra),
+                    /*unit=*/false, std::nullopt});
+    PersistAll(jobs, iteration);
     manifest_.MarkCheckpointComplete(StoreLevel::kMemory, iteration);
     manifest_.MarkCheckpointComplete(StoreLevel::kPersist, iteration);
     for (const auto& [key, gen] :
@@ -705,9 +703,6 @@ MocCheckpointSystem::RecoverFromFault(const std::vector<NodeId>& failed_nodes) {
                 if (!extra_blob.has_value()) {
                     manifest_.MarkPersistCorrupt("extra/state", restart);
                 }
-            } else if (extra_chain.empty()) {
-                // Legacy manifests never tracked extra state; read it raw.
-                extra_blob = storage_.Get("extra/state");
             }
             if (extra_blob.has_value()) {
                 report.extra = DeserializeExtraState(*extra_blob);

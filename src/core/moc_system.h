@@ -29,6 +29,7 @@
 #include "storage/persistent_store.h"
 #include "storage/resilient_store.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace moc {
 
@@ -135,7 +136,7 @@ class MocCheckpointSystem {
     const MocSystemConfig& config() const { return config_; }
     std::size_t checkpoint_count() const { return ckpt_count_; }
 
-    /** Versioned twin of @p key in checkpoint generation @p iteration. */
+    /** Key of unit @p key's one persisted copy in generation @p iteration. */
     static std::string GenKey(std::size_t iteration, const std::string& key);
 
     /** Current K_snapshot (may have been raised by Dynamic-K). */
@@ -148,28 +149,37 @@ class MocCheckpointSystem {
     /** Node that snapshots non-expert group @p key. */
     NodeId NonExpertOwnerNode(const std::string& key) const;
 
+    /** One serialized unit bound for persist. */
+    struct PersistJob {
+        std::string key;
+        Blob blob;
+        /** A model unit (journaled as kPersist); false for extra state. */
+        bool unit;
+        /** (MoE layer, expert) of an expert unit, for per-expert stats. */
+        std::optional<std::pair<std::size_t, ExpertId>> expert;
+    };
+
     void SaveGroup(const ParamGroup& group, std::size_t iteration, bool weights,
-                   bool to_memory, bool to_persist, CheckpointReport& report);
+                   bool to_memory, bool to_persist, CheckpointReport& report,
+                   std::vector<PersistJob>& persist);
 
     /** The configured external backend, or the internal simulated store. */
     ObjectStore& PersistBackend();
 
     /**
-     * Persists @p blob under @p key and its generation twin through the
-     * resilient path, recording the (possibly unverified) version in the
-     * manifest. @p fatal_on_failure rethrows instead of degrading (the
-     * initial checkpoint must land or recovery is undefined).
+     * Persists every job under GenKey(@p iteration, key) on the persist
+     * pool, joins them, and records each (possibly unverified) version in
+     * job order. At iteration 0 the first failed job rethrows.
      */
-    void PersistShard(const std::string& key, Blob blob, std::size_t iteration,
-                      bool fatal_on_failure);
+    void PersistAll(std::vector<PersistJob>& jobs, std::size_t iteration);
 
     /** Writes the manifest JSON to meta/manifest (best-effort). */
     void WriteManifestBlob();
 
     /**
-     * Reads one persisted version of @p key, CRC-verified, trying the
-     * plain latest-wins key (when this is the newest version) and the
-     * generation twin. nullopt = every copy of this version is damaged.
+     * Reads one persisted version of @p key, CRC-verified, read-repaired
+     * from a surviving memory replica when the stored copy is damaged.
+     * nullopt = the version is damaged beyond repair.
      */
     std::optional<Blob> ReadPersistVersion(const std::string& key,
                                            const PersistVersion& version) const;
@@ -191,6 +201,8 @@ class MocCheckpointSystem {
     /** last_snap_iter_[m][e]: iteration of that expert's last snapshot. */
     std::vector<std::vector<std::size_t>> last_snap_iter_;
     std::size_t ckpt_count_ = 0;
+    /** Writers of each checkpoint's persist set; joined before it seals. */
+    ThreadPool persist_pool_;
 };
 
 /** Serializes the weights (or Adam moments) of a parameter list. */

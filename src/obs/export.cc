@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <string_view>
 
+#include <unistd.h>
+
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
@@ -73,13 +75,23 @@ WriteTextFile(const std::string& path, const std::string& content,
         if (p.has_parent_path()) {
             std::filesystem::create_directories(p.parent_path());
         }
-        std::ofstream out(p, std::ios::trunc);
-        out << content;
-        out.flush();
+        // Write aside and rename over the target: a process killed mid-write
+        // leaves the previous file (or none), never a truncated one.
+        const std::filesystem::path tmp =
+            path + ".tmp." + std::to_string(::getpid());
+        std::ofstream out(tmp, std::ios::trunc);
         if (!out) {
             MOC_WARN << "failed writing " << what << " to " << path;
             return false;
         }
+        out << content;
+        out.close();
+        if (!out) {
+            std::filesystem::remove(tmp);
+            MOC_WARN << "failed writing " << what << " to " << path;
+            return false;
+        }
+        std::filesystem::rename(tmp, p);
         return true;
     } catch (const std::filesystem::filesystem_error& e) {
         MOC_WARN << "failed writing " << what << " to " << path << ": "

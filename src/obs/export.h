@@ -31,7 +31,10 @@ std::string JsonNumber(double value);
 
 /**
  * Writes @p content to @p path, creating parent directories; @p what names
- * the artifact in the warning log on failure.
+ * the artifact in the warning log on failure. The bytes go to
+ * `<path>.tmp.<pid>` first and are renamed over @p path, so readers (and a
+ * process killed mid-export) see the old file or the new one, never a torn
+ * one; a failed write leaves the old file untouched.
  */
 bool WriteTextFile(const std::string& path, const std::string& content,
                    const char* what);

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "obs/metrics.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace moc {
@@ -32,7 +33,7 @@ StorageFaultProfile::Active() const {
 }
 
 FaultyStore::FaultyStore(ObjectStore& base, std::uint64_t seed)
-    : base_(base), rng_(seed) {}
+    : base_(base), seed_(seed) {}
 
 void
 FaultyStore::Arm(const StorageFaultProfile& profile) {
@@ -68,58 +69,72 @@ FaultyStore::injected() const {
     return injected_;
 }
 
+Rng
+FaultyStore::OpStream(const std::string& key) const {
+    // Caller holds mu_. Each decision depends only on (seed, key, how many
+    // armed ops this key has seen), never on how threads interleave.
+    const std::uint64_t op = op_index_[key]++;
+    return Rng(seed_ ^ Fnv1a64(key.data(), key.size()) ^
+               (op * 0xD6E8FEB86659FD93ULL));
+}
+
 bool
-FaultyStore::Roll(double p) const {
-    // Caller holds mu_. Always draw so the stream position (and therefore
-    // the whole fault sequence) depends only on the op sequence and seed,
-    // not on which probabilities are zero.
-    return rng_.Uniform() < p;
+FaultyStore::Roll(Rng& rng, double p) {
+    // Always draw so the stream position (and therefore the whole fault
+    // sequence) does not depend on which probabilities are zero.
+    return rng.Uniform() < p;
+}
+
+Seconds
+FaultyStore::RollLatencySpike(Rng& rng) const {
+    // Caller holds mu_.
+    if (!Roll(rng, profile_.latency_spike)) {
+        return 0.0;
+    }
+    ++injected_.latency_spikes;
+    return profile_.latency_spike_seconds;
 }
 
 void
-FaultyStore::MaybeLatencySpike(const char* op) const {
-    Seconds delay = 0.0;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (armed_ && Roll(profile_.latency_spike)) {
-            delay = profile_.latency_spike_seconds;
-            ++injected_.latency_spikes;
-        }
+FaultyStore::SleepLatencySpike(Seconds delay, const char* op) {
+    if (delay <= 0.0) {
+        return;
     }
-    if (delay > 0.0) {
-        static obs::Counter& spikes = InjectedCounter("latency_spikes");
-        spikes.Add();
-        MOC_DEBUG << "faultystore: latency spike on " << op;
-        std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-    }
+    static obs::Counter& spikes = InjectedCounter("latency_spikes");
+    spikes.Add();
+    MOC_DEBUG << "faultystore: latency spike on " << op;
+    std::this_thread::sleep_for(std::chrono::duration<double>(delay));
 }
 
 void
 FaultyStore::Put(const std::string& key, Blob blob) {
-    MaybeLatencySpike("put");
     enum class WriteFault { kNone, kTransient, kTorn, kBitFlip, kLost };
     WriteFault fault = WriteFault::kNone;
     std::uint64_t victim_bit = 0;
+    Seconds delay = 0.0;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (armed_) {
-            if (Roll(profile_.put_transient_error)) {
+            Rng rng = OpStream(key);
+            delay = RollLatencySpike(rng);
+            if (Roll(rng, profile_.put_transient_error)) {
                 fault = WriteFault::kTransient;
                 ++injected_.transient_errors;
-            } else if (Roll(profile_.lost_write)) {
+            } else if (Roll(rng, profile_.lost_write)) {
                 fault = WriteFault::kLost;
                 ++injected_.lost_writes;
-            } else if (Roll(profile_.torn_write) && !blob.empty()) {
+            } else if (Roll(rng, profile_.torn_write) && !blob.empty()) {
                 fault = WriteFault::kTorn;
-                victim_bit = rng_.UniformInt(blob.size());  // new length
+                victim_bit = rng.UniformInt(blob.size());  // new length
                 ++injected_.torn_writes;
-            } else if (Roll(profile_.bit_flip) && !blob.empty()) {
+            } else if (Roll(rng, profile_.bit_flip) && !blob.empty()) {
                 fault = WriteFault::kBitFlip;
-                victim_bit = rng_.UniformInt(blob.size() * 8);
+                victim_bit = rng.UniformInt(blob.size() * 8);
                 ++injected_.bit_flips;
             }
         }
     }
+    SleepLatencySpike(delay, "put");
     switch (fault) {
         case WriteFault::kTransient: {
             static obs::Counter& c = InjectedCounter("transient_errors");
@@ -153,23 +168,26 @@ FaultyStore::Put(const std::string& key, Blob blob) {
 
 std::optional<Blob>
 FaultyStore::Get(const std::string& key) const {
-    MaybeLatencySpike("get");
     bool transient = false;
     bool corrupt = false;
     std::uint64_t raw_bit = 0;
+    Seconds delay = 0.0;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (armed_) {
-            if (Roll(profile_.get_transient_error)) {
+            Rng rng = OpStream(key);
+            delay = RollLatencySpike(rng);
+            if (Roll(rng, profile_.get_transient_error)) {
                 transient = true;
                 ++injected_.transient_errors;
-            } else if (Roll(profile_.read_corrupt)) {
+            } else if (Roll(rng, profile_.read_corrupt)) {
                 corrupt = true;
-                raw_bit = rng_.Next();
+                raw_bit = rng.Next();
                 ++injected_.corrupt_reads;
             }
         }
     }
+    SleepLatencySpike(delay, "get");
     if (transient) {
         static obs::Counter& c = InjectedCounter("transient_errors");
         c.Add();

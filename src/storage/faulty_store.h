@@ -6,8 +6,11 @@
  * Seeded storage-fault injection: an ObjectStore decorator that damages the
  * I/O path the way real checkpoint backends fail (docs/FAULT_MODEL.md) —
  * transient errors, latency spikes, torn/truncated writes, silent bit rot,
- * and writes that report success but never land. Every decision flows from
- * one seeded Rng so a faulty run replays exactly from its seed.
+ * and writes that report success but never land. Every decision on an
+ * operation is drawn from a stream derived from (seed, key, the key's
+ * operation index), so a faulty run replays exactly from its seed even when
+ * parallel writers reach the store in a different order: each key sees the
+ * same faults as long as its own operations come in the same order.
  *
  * The decorator stays inert until a StorageFaultProfile is armed, so a
  * training loop can scope faults to an iteration window via
@@ -15,6 +18,7 @@
  */
 
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 
@@ -69,8 +73,8 @@ struct InjectedFaultCounts {
 
 /**
  * Fault-injecting decorator over any ObjectStore. Thread-safe (the base
- * store guarantees its own safety; the injector's Rng and counters are
- * mutex-protected).
+ * store guarantees its own safety; the injector's per-key operation
+ * indices and counters are mutex-protected).
  *
  * Metadata operations (Contains/Erase/Keys/...) pass through unfaulted:
  * the modelled failure domain is the blob data path.
@@ -99,13 +103,23 @@ class FaultyStore final : public ObjectStore {
     std::size_t Count() const override;
 
   private:
-    /** Draws one uniform; returns true with probability @p p. */
-    bool Roll(double p) const;
-    void MaybeLatencySpike(const char* op) const;
+    /** The decision stream of the next armed op on @p key. Holds mu_. */
+    Rng OpStream(const std::string& key) const;
+
+    /** Draws one uniform from @p rng; returns true with probability @p p. */
+    static bool Roll(Rng& rng, double p);
+
+    /** Rolls a latency spike on @p rng; its delay or 0. Holds mu_. */
+    Seconds RollLatencySpike(Rng& rng) const;
+
+    /** Sleeps an injected latency spike of @p delay seconds (if any). */
+    static void SleepLatencySpike(Seconds delay, const char* op);
 
     ObjectStore& base_;
+    const std::uint64_t seed_;
     mutable std::mutex mu_;
-    mutable Rng rng_;
+    /** Armed operations seen so far, per key. */
+    mutable std::map<std::string, std::uint64_t> op_index_;
     StorageFaultProfile profile_;
     bool armed_ = false;
     mutable InjectedFaultCounts injected_;

@@ -13,7 +13,7 @@
  *     bit-flipped, and lost writes surface at save time, not recovery time;
  *   - GetChecked verifies reads against the CRC the manifest recorded at
  *     write time and can read-repair from a caller-supplied replica source
- *     (surviving DP/EP memory copies, a versioned twin key).
+ *     (e.g. surviving DP/EP memory copies).
  *
  * Exhausted retries raise StoreError{kTimeout}; unrepairable damage raises
  * StoreError{kCorrupt}. The wrapper never returns partially-validated
@@ -57,7 +57,7 @@ class ResilientStore final : public ObjectStore {
   public:
     /**
      * A replica source for read-repair: returns candidate bytes for a key
-     * (from a surviving memory snapshot, a versioned twin, ...), or nullopt.
+     * (e.g. from a surviving memory snapshot), or nullopt.
      * GetChecked CRC-verifies the candidate before trusting it.
      */
     using RepairSource =

@@ -238,7 +238,16 @@ class Parser {
         }
     }
 
+    /** Enters one array/object level; throws past kMaxDepth. */
+    void Descend() {
+        if (++depth_ > kMaxDepth) {
+            Error("nesting deeper than " + std::to_string(kMaxDepth) +
+                  " levels");
+        }
+    }
+
     Value ParseObject() {
+        Descend();
         Expect('{');
         Object members;
         if (!Consume('}')) {
@@ -249,10 +258,12 @@ class Parser {
             } while (Consume(','));
             Expect('}');
         }
+        --depth_;
         return Value(std::move(members));
     }
 
     Value ParseArray() {
+        Descend();
         Expect('[');
         Array items;
         if (!Consume(']')) {
@@ -261,6 +272,7 @@ class Parser {
             } while (Consume(','));
             Expect(']');
         }
+        --depth_;
         return Value(std::move(items));
     }
 
@@ -381,6 +393,8 @@ class Parser {
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    /** Open arrays and objects around the current position. */
+    std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -119,9 +119,13 @@ class Value {
     ~Value() = default;
 };
 
+/** Deepest array/object nesting Parse accepts; the parser recurses per level. */
+inline constexpr std::size_t kMaxDepth = 256;
+
 /**
  * Parses one JSON document (trailing whitespace allowed, nothing else after).
- * @throws std::invalid_argument on malformed input.
+ * @throws std::invalid_argument on malformed input, including nesting
+ *         deeper than kMaxDepth.
  */
 Value Parse(std::string_view text);
 

@@ -130,7 +130,7 @@ TEST(Cli, InspectReadsRealCheckpoint) {
     std::ostringstream err;
     EXPECT_EQ(Main({"inspect", dir.string()}, out, err), 0) << err.str();
     EXPECT_NE(out.str().find("restart point: iteration 12"), std::string::npos);
-    EXPECT_NE(out.str().find("moe/0/expert/0/w"), std::string::npos);
+    EXPECT_NE(out.str().find("gen/12/moe/0/expert/0/w"), std::string::npos);
     fs::remove_all(dir);
 }
 
@@ -301,7 +301,7 @@ TEST(Cli, TraceMissingFileExitsTwo) {
 
 TEST(Cli, FsckAllExtraStateCopiesGoneIsFatal) {
     const auto dir = MakeCheckpointDir("moc_cli_fsck_fatal");
-    CorruptFile(dir / "extra" / "state.blob");
+    // The one copy of the extra state in each retained generation.
     CorruptFile(dir / "gen" / "8" / "extra" / "state.blob");
     CorruptFile(dir / "gen" / "12" / "extra" / "state.blob");
     std::ostringstream out;

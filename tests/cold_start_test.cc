@@ -14,6 +14,7 @@
 #include "sim/perf_model.h"
 #include "storage/file_store.h"
 #include "storage/memory_store.h"
+#include "storage/store_error.h"
 
 namespace moc {
 namespace {
@@ -76,6 +77,24 @@ TEST(ColdStart, RejectsNonCheckpointStore) {
     EXPECT_THROW(ColdStartFromStore(model, store), std::invalid_argument);
 }
 
+/**
+ * Drops @p unit's persist history from the manifest stored in @p store, as
+ * if the checkpoint predated that module.
+ */
+void
+ForgetUnit(ObjectStore& store, const std::string& unit) {
+    const Blob blob = *store.Get(kManifestKey);
+    std::string doc(blob.begin(), blob.end());
+    // ToJson writes each history on one line, after a separating comma.
+    const std::string entry = ",\n    \"" + unit + "\": [";
+    const auto begin = doc.find(entry);
+    ASSERT_NE(begin, std::string::npos) << doc;
+    const auto end = doc.find(']', begin + entry.size());
+    ASSERT_NE(end, std::string::npos) << doc;
+    doc.erase(begin, end + 1 - begin);
+    store.Put(kManifestKey, Blob(doc.begin(), doc.end()));
+}
+
 TEST(ColdStart, ReportsMissingUnits) {
     MoeTransformerLm original(TinyLm());
     RankTopology topo({.dp = 4, .ep = 4, .tp = 1, .pp = 1}, 2);
@@ -86,7 +105,19 @@ TEST(ColdStart, ReportsMissingUnits) {
     ExtraState extra{0, 0, original.gating_rng().GetState()};
     MocCheckpointSystem system(cfg, original, topo, TinyLm().ToModelSpec(), extra);
     auto& storage = system.storage();
-    storage.Erase("embedding/w");
+    const std::string copy = MocCheckpointSystem::GenKey(0, "embedding/w");
+    ASSERT_TRUE(storage.Contains(copy));
+
+    // A recorded unit whose only copy is gone makes its generation
+    // unrestorable: cold start fails typed instead of reporting it missing.
+    const Blob kept = *storage.Get(copy);
+    storage.Erase(copy);
+    MoeTransformerLm damaged(TinyLm());
+    EXPECT_THROW(ColdStartFromStore(damaged, storage), StoreError);
+
+    // A unit the manifest never recorded is missing, not damage.
+    storage.Put(copy, kept);
+    ForgetUnit(storage, "embedding/w");
     MoeTransformerLm fresh(TinyLm());
     const auto report = ColdStartFromStore(fresh, storage);
     ASSERT_EQ(report.missing.size(), 1U);

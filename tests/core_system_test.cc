@@ -7,11 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/adaptive.h"
 #include "core/moc_system.h"
 #include "core/overhead.h"
 #include "nn/model.h"
+#include "obs/journal.h"
+#include "storage/memory_store.h"
+#include "storage/store_error.h"
 
 namespace moc {
 namespace {
@@ -253,6 +260,144 @@ TEST(MocSystem, DynamicKEscalates) {
     EXPECT_GT(report.plt, 0.0);
     EXPECT_GT(report.k_after, 1U);
     EXPECT_EQ(system.current_k_snapshot(), report.k_after);
+}
+
+TEST(MocSystem, CheckpointStoresOneCopyPerPersistedUnit) {
+    MoeTransformerLm model(TinyLm());
+    const auto topo = TwoNodeTopology();
+    ExtraState extra{0, 0, model.gating_rng().GetState()};
+    MocCheckpointSystem system(DefaultSystem(2, 1), model, topo,
+                               TinyLm().ToModelSpec(), extra);
+    extra.iteration = 4;
+    const CheckpointReport report = system.Checkpoint(4, extra);
+
+    // Every manifest-recorded version has exactly one blob, under its
+    // generation key; the only other key is the manifest itself.
+    std::map<std::size_t, std::size_t> versions;
+    Bytes unit_bytes_at_4 = 0;
+    for (const auto& unit : system.manifest().KeysAt(StoreLevel::kPersist)) {
+        for (const std::size_t iteration : {0, 4}) {
+            const auto version =
+                system.manifest().FindPersistVersion(unit, iteration);
+            if (!version.has_value()) {
+                continue;
+            }
+            EXPECT_TRUE(version->verified) << unit << " @" << iteration;
+            const auto blob = system.storage().Get(
+                MocCheckpointSystem::GenKey(iteration, unit));
+            ASSERT_TRUE(blob.has_value()) << unit << " @" << iteration;
+            EXPECT_EQ(blob->size(), version->bytes);
+            EXPECT_FALSE(system.storage().Contains(unit)) << unit;
+            ++versions[iteration];
+            if (iteration == 4 && unit != "extra/state") {
+                unit_bytes_at_4 += version->bytes;
+            }
+        }
+    }
+    // Generation 0 holds every unit (weights + moments per group) plus the
+    // extra state; generation 4 holds the PEC selection plus extra state.
+    EXPECT_EQ(versions[0], 2 * model.ParameterGroups().size() + 1);
+    EXPECT_LT(versions[4], versions[0]);
+    EXPECT_EQ(unit_bytes_at_4, report.persist_bytes);
+    EXPECT_EQ(system.storage().Count(), versions[0] + versions[4] + 1);
+    EXPECT_TRUE(system.storage().Contains("meta/manifest"));
+}
+
+/** An in-memory store whose Puts of one key always fail loudly. */
+class FailingKeyStore final : public ObjectStore {
+  public:
+    explicit FailingKeyStore(std::string key) : key_(std::move(key)) {}
+
+    void Put(const std::string& key, Blob blob) override {
+        if (key == key_) {
+            throw StoreError(StoreErrorKind::kTransient, key,
+                             "injected put failure");
+        }
+        base_.Put(key, std::move(blob));
+    }
+    std::optional<Blob> Get(const std::string& key) const override {
+        return base_.Get(key);
+    }
+    bool Contains(const std::string& key) const override {
+        return base_.Contains(key);
+    }
+    void Erase(const std::string& key) override { base_.Erase(key); }
+    std::vector<std::string> Keys() const override { return base_.Keys(); }
+    Bytes TotalBytes() const override { return base_.TotalBytes(); }
+    std::size_t Count() const override { return base_.Count(); }
+
+  private:
+    const std::string key_;
+    MemoryStore base_;
+};
+
+TEST(MocSystem, FailedParallelPersistLeavesOnlyThatVersionUnverified) {
+    MoeTransformerLm model(TinyLm());
+    const auto topo = TwoNodeTopology();
+    FailingKeyStore store(MocCheckpointSystem::GenKey(8, "embedding/w"));
+    MocSystemConfig cfg = DefaultSystem(4, 4);
+    cfg.persist_backend = &store;
+    ExtraState extra{0, 0, model.gating_rng().GetState()};
+    MocCheckpointSystem system(cfg, model, topo, TinyLm().ToModelSpec(), extra);
+    for (const std::size_t iteration : {4, 8}) {
+        extra.iteration = iteration;
+        system.Checkpoint(iteration, extra);
+    }
+
+    const CheckpointManifest& manifest = system.manifest();
+    std::size_t verified_at_8 = 0;
+    for (const auto& unit : manifest.KeysAt(StoreLevel::kPersist)) {
+        const auto version = manifest.FindPersistVersion(unit, 8);
+        ASSERT_TRUE(version.has_value()) << unit;
+        if (unit == "embedding/w") {
+            EXPECT_FALSE(version->verified);
+        } else {
+            EXPECT_TRUE(version->verified) << unit;
+            ++verified_at_8;
+        }
+    }
+    EXPECT_EQ(verified_at_8, manifest.KeysAt(StoreLevel::kPersist).size() - 1);
+    for (const auto& info : manifest.Generations()) {
+        EXPECT_TRUE(info.sealed) << info.iteration;
+        EXPECT_EQ(info.eligible, info.iteration != 8) << info.iteration;
+    }
+
+    // Recovery restarts from the previous generation.
+    const RecoveryReport report = system.RecoverFromFault({0});
+    EXPECT_EQ(report.plan.restart_iteration, 4U);
+    EXPECT_EQ(report.extra.iteration, 4U);
+}
+
+/** (iteration, bytes, key) of every kPersist record one short run journals. */
+std::vector<std::tuple<std::uint64_t, std::uint64_t, std::string>>
+PersistJournal() {
+    auto& journal = obs::EventJournal::Instance();
+    const std::size_t before = journal.Collect().size();
+    MoeTransformerLm model(TinyLm());
+    const auto topo = TwoNodeTopology();
+    ExtraState extra{0, 0, model.gating_rng().GetState()};
+    MocCheckpointSystem system(DefaultSystem(2, 1), model, topo,
+                               TinyLm().ToModelSpec(), extra);
+    for (const std::size_t iteration : {4, 8, 12}) {
+        extra.iteration = iteration;
+        system.Checkpoint(iteration, extra);
+    }
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, std::string>> out;
+    const auto events = journal.Collect();
+    for (std::size_t i = before; i < events.size(); ++i) {
+        if (events[i].kind == obs::EventKind::kPersist) {
+            out.emplace_back(events[i].iteration, events[i].bytes,
+                             events[i].detail);
+        }
+    }
+    return out;
+}
+
+TEST(MocSystem, JournalPersistSequenceIsDeterministic) {
+    const auto first = PersistJournal();
+    const auto second = PersistJournal();
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first, second);
 }
 
 // ---------- Adaptive configuration ----------

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "storage/faulty_store.h"
 #include "storage/memory_store.h"
@@ -166,6 +170,64 @@ TEST(FaultyStore, SameSeedSameFaultSequence) {
     };
     EXPECT_EQ(run(42), run(42));
     EXPECT_NE(run(42), run(43));  // astronomically unlikely to collide
+}
+
+TEST(FaultyStore, ParallelWritersGetSameFaultsPerKey) {
+    // Faults derive from (seed, key, per-key op index), so four threads
+    // racing on disjoint keys see identical faults per key in every run,
+    // however the scheduler interleaves them.
+    const auto run = [](std::uint64_t seed) {
+        MemoryStore base;
+        FaultyStore store(base, seed);
+        StorageFaultProfile profile;
+        profile.put_transient_error = 0.2;
+        profile.torn_write = 0.2;
+        profile.bit_flip = 0.2;
+        profile.read_corrupt = 0.2;
+        store.Arm(profile);
+        constexpr int kThreads = 4;
+        constexpr int kKeysPerThread = 16;
+        std::vector<std::map<std::string, std::string>> traces(kThreads);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&store, &traces, t] {
+                for (int round = 0; round < 3; ++round) {
+                    for (int k = 0; k < kKeysPerThread; ++k) {
+                        const std::string key =
+                            "gen/" + std::to_string(t) + "/k" + std::to_string(k);
+                        std::string& trace = traces[t][key];
+                        try {
+                            store.Put(key, Pattern(32));
+                            const auto blob = store.Get(key);
+                            trace += !blob ? 'n'
+                                     : *blob == Pattern(32) ? 'o'
+                                     : blob->size() == 32 ? 'f'
+                                                          : 't';
+                        } catch (const StoreError&) {
+                            trace += 'x';
+                        }
+                    }
+                }
+            });
+        }
+        for (auto& thread : threads) {
+            thread.join();
+        }
+        std::map<std::string, std::string> merged;
+        for (const auto& trace : traces) {
+            merged.insert(trace.begin(), trace.end());
+        }
+        return std::make_pair(merged, store.injected());
+    };
+    const auto [first, first_counts] = run(7);
+    const auto [second, second_counts] = run(7);
+    EXPECT_EQ(first, second);
+    EXPECT_GT(first_counts.Total(), 0u);
+    EXPECT_EQ(first_counts.transient_errors, second_counts.transient_errors);
+    EXPECT_EQ(first_counts.torn_writes, second_counts.torn_writes);
+    EXPECT_EQ(first_counts.bit_flips, second_counts.bit_flips);
+    EXPECT_EQ(first_counts.corrupt_reads, second_counts.corrupt_reads);
+    EXPECT_NE(first, run(8).first);  // the seed still matters
 }
 
 }  // namespace

@@ -66,9 +66,9 @@ TEST(Integration, IdenticalSeedsYieldIdenticalTraining) {
 
 TEST(Integration, CheckpointBlobsSurviveStoreRoundTrip) {
     // Serialize a group through the system, flip a byte in storage, and
-    // confirm the CRC layer detects it on recovery: a damaged copy is
-    // read-repaired from its generation twin, and when every copy is
-    // damaged recovery fails with a typed StoreError.
+    // confirm the CRC layer detects it on recovery: the damaged copy is
+    // read-repaired from a surviving memory replica, and when the copy and
+    // every replica are gone recovery fails with a typed StoreError.
     MoeTransformerLm model(TinyLm());
     RankTopology topo({.dp = 4, .ep = 4, .tp = 1, .pp = 1}, 2);
     MocSystemConfig cfg;
@@ -80,17 +80,19 @@ TEST(Integration, CheckpointBlobsSurviveStoreRoundTrip) {
     MocCheckpointSystem system(cfg, model, topo, TinyLm().ToModelSpec(), extra);
 
     auto& storage = system.storage();
-    const auto keys = storage.Keys();
-    ASSERT_FALSE(keys.empty());
-    // Corrupt the plain (latest-wins) copy of one tensor-bearing key.
+    // The one persisted copy of a weight unit whose memory replica lives
+    // on node 1, which survives the first fault below.
     std::string victim;
-    for (const auto& k : keys) {
-        if (k.rfind("gen/", 0) != 0 && k.find("/w") != std::string::npos) {
-            victim = k;
+    for (const auto& unit : system.manifest().KeysAt(StoreLevel::kMemory)) {
+        const auto replica = system.manifest().Latest(StoreLevel::kMemory, unit);
+        if (unit.find("/w") != std::string::npos && replica.has_value() &&
+            replica->node == 1) {
+            victim = MocCheckpointSystem::GenKey(0, unit);
             break;
         }
     }
     ASSERT_FALSE(victim.empty());
+    ASSERT_TRUE(storage.Contains(victim));
     const auto pristine = *storage.Get(victim);
     auto blob = pristine;
     blob[blob.size() / 2] ^= 0x1;
@@ -103,13 +105,12 @@ TEST(Integration, CheckpointBlobsSurviveStoreRoundTrip) {
     EXPECT_EQ(report.extra.iteration, 0u);
     EXPECT_TRUE(report.degraded.empty());
     EXPECT_GT(repairs.value(), repairs_before);
-    // The repair wrote the intact twin back over the damaged plain copy.
+    // The repair wrote the intact replica back over the damaged copy.
     EXPECT_EQ(*storage.Get(victim), pristine);
 
-    // Damage every persisted copy AND all memory replicas (both nodes
-    // fail): no repair source is left, so the typed error surfaces.
+    // Damage the persisted copy again AND lose every memory replica (both
+    // nodes fail): no repair source is left, so the typed error surfaces.
     storage.Put(victim, blob);
-    storage.Put(MocCheckpointSystem::GenKey(0, victim), blob);
     EXPECT_THROW(system.RecoverFromFault({0, 1}), StoreError);
 }
 

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -171,6 +174,58 @@ TEST(ObsExport, WritesMetricsFileCreatingDirectories) {
     std::stringstream content;
     content << in.rdbuf();
     EXPECT_NE(content.str().find("obs_test.file_counter"), std::string::npos);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ObsExport, TextFileReplacementIsNeverTornOrEmpty) {
+    const auto dir = std::filesystem::temp_directory_path() / "moc_obs_atomic";
+    std::filesystem::remove_all(dir);
+    const auto path = (dir / "rank0.trace.json").string();
+    const std::string a(64 * 1024, 'a');
+    const std::string b(32 * 1024, 'b');
+    ASSERT_TRUE(obs::WriteTextFile(path, a, "test artifact"));
+    std::atomic<bool> done{false};
+    std::atomic<int> bad_reads{0};
+    std::thread reader([&] {
+        while (!done.load()) {
+            std::ifstream in(path);
+            std::stringstream content;
+            content << in.rdbuf();
+            if (content.str() != a && content.str() != b) {
+                bad_reads.fetch_add(1);
+            }
+        }
+    });
+    for (int i = 0; i < 200; ++i) {
+        ASSERT_TRUE(obs::WriteTextFile(path, i % 2 == 0 ? b : a, "test artifact"));
+    }
+    done = true;
+    reader.join();
+    EXPECT_EQ(bad_reads.load(), 0);
+    // Only the target remains: no temp file is left beside it.
+    std::size_t entries = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        EXPECT_EQ(entry.path().string(), path);
+        ++entries;
+    }
+    EXPECT_EQ(entries, 1U);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ObsExport, FailedTextWriteKeepsOldFile) {
+    const auto dir = std::filesystem::temp_directory_path() / "moc_obs_keep";
+    std::filesystem::remove_all(dir);
+    const auto path = (dir / "metrics.json").string();
+    ASSERT_TRUE(obs::WriteTextFile(path, "old", "test artifact"));
+    // A directory squatting on the temp name makes the write fail.
+    const auto squatter = path + ".tmp." + std::to_string(::getpid());
+    std::filesystem::create_directories(squatter);
+    EXPECT_FALSE(obs::WriteTextFile(path, "new", "test artifact"));
+    std::ifstream in(path);
+    std::stringstream content;
+    content << in.rdbuf();
+    EXPECT_EQ(content.str(), "old");
+    EXPECT_TRUE(std::filesystem::is_directory(squatter));
     std::filesystem::remove_all(dir);
 }
 

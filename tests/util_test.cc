@@ -554,6 +554,26 @@ TEST(Json, RejectsMalformedDocuments) {
     EXPECT_THROW(json::Parse("{1: 2}"), std::invalid_argument);
 }
 
+TEST(Json, NestingDepthIsCapped) {
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    // The deepest accepted document parses; one level more is a typed
+    // parse error, not a stack overflow.
+    const json::Value deepest = json::Parse(nested(json::kMaxDepth));
+    EXPECT_TRUE(deepest.is_array());
+    EXPECT_THROW(json::Parse(nested(json::kMaxDepth + 1)),
+                 std::invalid_argument);
+    EXPECT_THROW(json::Parse(std::string(100000, '[')), std::invalid_argument);
+    std::string objects;
+    for (std::size_t i = 0; i <= json::kMaxDepth; ++i) {
+        objects += "{\"a\":";
+    }
+    EXPECT_THROW(json::Parse(objects + "1" +
+                             std::string(json::kMaxDepth + 1, '}')),
+                 std::invalid_argument);
+}
+
 TEST(Json, KindMismatchThrows) {
     const json::Value v = json::Parse("3");
     EXPECT_THROW(v.AsString(), std::invalid_argument);

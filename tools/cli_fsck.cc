@@ -7,7 +7,7 @@
  *      so torn writes and bit rot surface as damaged files;
  *   2. logical — every persist version the manifest records is located
  *      (versioned shard key `<key>@<iter>` at its physical iteration —
- *      dedup refs resolved — plain key, or `gen/<iter>/<key>` twin) and its
+ *      dedup refs resolved — or the `gen/<iter>/<key>` copy) and its
  *      bytes re-hashed against the recorded CRC. A *delta* version
  *      (`<key>@<iter>.delta`, storage/delta_codec.h) is intact only when
  *      its physical record matches its recorded delta CRC AND every link
@@ -159,7 +159,7 @@ VersionIntact(const std::map<std::string, FileHealth>& files,
     const std::string candidates[] = {
         VersionedShardKey(key, version.PhysicalIteration()),
         MocCheckpointSystem::GenKey(version.PhysicalIteration(), key),
-        MocCheckpointSystem::GenKey(version.iteration, key), key};
+        MocCheckpointSystem::GenKey(version.iteration, key)};
     for (const auto& physical : candidates) {
         const auto it = files.find(physical);
         if (it == files.end() || !it->second.readable) {

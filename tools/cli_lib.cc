@@ -1,6 +1,7 @@
 #include "cli_lib.h"
 
 #include <algorithm>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 
@@ -15,6 +16,8 @@
 #include "sim/perf_model.h"
 #include "sim/timeline.h"
 #include "storage/file_store.h"
+#include "storage/manifest.h"
+#include "util/crc32.h"
 #include "util/table.h"
 
 namespace moc::cli {
@@ -73,6 +76,41 @@ ParseArgs(const std::vector<std::string>& tokens) {
     return args;
 }
 
+namespace {
+
+/**
+ * Extra state of the newest eligible generation, located and CRC-checked
+ * through the manifest the directory carries; nullopt when any step fails.
+ */
+std::optional<ExtraState>
+RestartPoint(const FileStore& store) {
+    try {
+        const auto doc = store.Get(kManifestKey);
+        if (!doc.has_value()) {
+            return std::nullopt;
+        }
+        CheckpointManifest manifest;
+        manifest.LoadFromJson(std::string(doc->begin(), doc->end()));
+        const auto generation = manifest.LatestEligibleGeneration();
+        if (!generation.has_value()) {
+            return std::nullopt;
+        }
+        const auto version =
+            manifest.FindPersistVersion("extra/state", *generation);
+        const auto blob = store.Get(
+            MocCheckpointSystem::GenKey(*generation, "extra/state"));
+        if (!version.has_value() || !blob.has_value() ||
+            Crc32c(blob->data(), blob->size()) != version->crc) {
+            return std::nullopt;
+        }
+        return DeserializeExtraState(*blob);
+    } catch (const std::exception&) {
+        return std::nullopt;  // unreadable manifest or damaged blob
+    }
+}
+
+}  // namespace
+
 int
 RunInspect(const Args& args, std::ostream& out) {
     if (args.positional.empty()) {
@@ -91,12 +129,12 @@ RunInspect(const Args& args, std::ostream& out) {
     }
     out << t.ToString();
     out << keys.size() << " keys, " << FormatBytes(total) << " total\n";
-    if (const auto extra = store.Get("extra/state")) {
-        const ExtraState state = DeserializeExtraState(*extra);
-        out << "restart point: iteration " << state.iteration << ", optimizer step "
-            << state.adam_step << "\n";
+    if (const auto state = RestartPoint(store)) {
+        out << "restart point: iteration " << state->iteration << ", optimizer step "
+            << state->adam_step << "\n";
     } else {
-        out << "warning: no extra/state — not a complete MoC checkpoint\n";
+        out << "warning: no verified extra/state in an eligible generation — "
+               "not a complete MoC checkpoint\n";
     }
     return 0;
 }
