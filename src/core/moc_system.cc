@@ -37,7 +37,7 @@ RecordCheckpointMetrics(const CheckpointReport& report, Seconds duration) {
     seconds.Observe(duration);
 }
 
-/** A CRC-32 fingerprint of the run's MocSystemConfig, as run metadata. */
+/** A CRC-32C fingerprint of the run's MocSystemConfig, as run metadata. */
 std::string
 ConfigDigest(const MocSystemConfig& config, const ModelSpec& spec) {
     std::ostringstream desc;
@@ -55,7 +55,7 @@ ConfigDigest(const MocSystemConfig& config, const ModelSpec& spec) {
          << ";experts=" << spec.num_experts;
     const std::string s = desc.str();
     char hex[16];
-    std::snprintf(hex, sizeof(hex), "%08x", Crc32(s.data(), s.size()));
+    std::snprintf(hex, sizeof(hex), "%08x", Crc32c(s.data(), s.size()));
     return hex;
 }
 
@@ -65,38 +65,36 @@ NsToSeconds(std::uint64_t begin_ns, std::uint64_t end_ns) {
     return static_cast<double>(end_ns - begin_ns) / 1e9;
 }
 
+/** ExtraState's fixed encoding: iteration, adam_step, the RNG state. */
+constexpr std::size_t kExtraStateBytes =
+    2 * sizeof(std::uint64_t) + sizeof(Rng::State::s) + sizeof(std::uint8_t) +
+    sizeof(double);
+
 template <typename T>
-void
-AppendPod(Blob& out, T value) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-    out.insert(out.end(), p, p + sizeof(T));
+std::uint8_t*
+PackPod(T value, std::uint8_t* out) {
+    std::memcpy(out, &value, sizeof(T));
+    return out + sizeof(T);
 }
 
 template <typename T>
 T
 ReadPod(const Blob& in, std::size_t& offset) {
-    MOC_CHECK_ARG(offset + sizeof(T) <= in.size(), "blob truncated");
+    MOC_CHECK_ARG(sizeof(T) <= in.size() - offset, "blob truncated");
     T value;
     std::memcpy(&value, in.data() + offset, sizeof(T));
     offset += sizeof(T);
     return value;
 }
 
+/** Parses the length-prefixed tensor at @p offset into @p dst in place. */
 void
-AppendTensor(Blob& out, const Tensor& t) {
-    const auto blob = SerializeTensor(t);
-    AppendPod(out, static_cast<std::uint64_t>(blob.size()));
-    out.insert(out.end(), blob.begin(), blob.end());
-}
-
-Tensor
-ReadTensor(const Blob& in, std::size_t& offset) {
-    const auto size = static_cast<std::size_t>(ReadPod<std::uint64_t>(in, offset));
-    MOC_CHECK_ARG(offset + size <= in.size(), "blob truncated");
-    Blob piece(in.begin() + static_cast<long>(offset),
-               in.begin() + static_cast<long>(offset + size));
+ReadTensorInto(const Blob& in, std::size_t& offset, Tensor& dst) {
+    const auto size = ReadPod<std::uint64_t>(in, offset);
+    // offset <= in.size() holds, so this cannot wrap for any length field.
+    MOC_CHECK_ARG(size <= in.size() - offset, "blob truncated");
+    DeserializeTensorInto(in.data() + offset, size, dst);
     offset += size;
-    return DeserializeTensor(piece);
 }
 
 bool
@@ -115,18 +113,29 @@ BaseKey(const std::string& key) {
 
 Blob
 SerializeParamList(const std::vector<Parameter*>& params, bool weights) {
-    Blob out;
-    const std::uint32_t count =
-        static_cast<std::uint32_t>(params.size()) * (weights ? 1 : 2);
-    AppendPod(out, count);
+    // Size the blob once, then pack every header and payload straight in.
+    std::vector<const Tensor*> tensors;
+    tensors.reserve(params.size() * (weights ? 1 : 2));
     for (const auto* p : params) {
         if (weights) {
-            AppendTensor(out, p->value());
+            tensors.push_back(&p->value());
         } else {
-            AppendTensor(out, p->adam_m());
-            AppendTensor(out, p->adam_v());
+            tensors.push_back(&p->adam_m());
+            tensors.push_back(&p->adam_v());
         }
     }
+    std::size_t total = sizeof(std::uint32_t);
+    for (const Tensor* t : tensors) {
+        total += sizeof(std::uint64_t) + SerializedTensorSize(*t);
+    }
+    Blob out(total);
+    std::uint8_t* p = PackPod(static_cast<std::uint32_t>(tensors.size()),
+                              out.data());
+    for (const Tensor* t : tensors) {
+        p = PackPod(static_cast<std::uint64_t>(SerializedTensorSize(*t)), p);
+        p = SerializeTensorInto(*t, p);
+    }
+    MOC_ASSERT(p == out.data() + out.size(), "param list size mismatch");
     return out;
 }
 
@@ -140,37 +149,34 @@ DeserializeParamList(const Blob& blob, const std::vector<Parameter*>& params,
     MOC_CHECK_ARG(count == expected, "parameter count mismatch in checkpoint blob");
     for (auto* p : params) {
         if (weights) {
-            Tensor t = ReadTensor(blob, offset);
-            MOC_CHECK_ARG(t.shape() == p->value().shape(),
-                          "shape mismatch restoring " << p->name());
-            p->value() = std::move(t);
+            ReadTensorInto(blob, offset, p->value());
         } else {
-            Tensor m = ReadTensor(blob, offset);
-            Tensor v = ReadTensor(blob, offset);
-            MOC_CHECK_ARG(m.shape() == p->adam_m().shape() &&
-                              v.shape() == p->adam_v().shape(),
-                          "moment shape mismatch restoring " << p->name());
-            p->adam_m() = std::move(m);
-            p->adam_v() = std::move(v);
+            ReadTensorInto(blob, offset, p->adam_m());
+            ReadTensorInto(blob, offset, p->adam_v());
         }
     }
+    MOC_CHECK_ARG(offset == blob.size(), "trailing bytes in checkpoint blob");
 }
 
 Blob
 SerializeExtraState(const ExtraState& extra) {
-    Blob out;
-    AppendPod(out, static_cast<std::uint64_t>(extra.iteration));
-    AppendPod(out, static_cast<std::uint64_t>(extra.adam_step));
+    Blob out(kExtraStateBytes);
+    std::uint8_t* p = out.data();
+    p = PackPod(static_cast<std::uint64_t>(extra.iteration), p);
+    p = PackPod(static_cast<std::uint64_t>(extra.adam_step), p);
     for (auto s : extra.gating_rng.s) {
-        AppendPod(out, s);
+        p = PackPod(s, p);
     }
-    AppendPod(out, static_cast<std::uint8_t>(extra.gating_rng.have_cached_gaussian));
-    AppendPod(out, extra.gating_rng.cached_gaussian);
+    p = PackPod(static_cast<std::uint8_t>(extra.gating_rng.have_cached_gaussian), p);
+    PackPod(extra.gating_rng.cached_gaussian, p);
     return out;
 }
 
 ExtraState
 DeserializeExtraState(const Blob& blob) {
+    MOC_CHECK_ARG(blob.size() == kExtraStateBytes,
+                  "extra state blob is " << blob.size() << " bytes, not "
+                                         << kExtraStateBytes);
     ExtraState extra;
     std::size_t offset = 0;
     extra.iteration = static_cast<std::size_t>(ReadPod<std::uint64_t>(blob, offset));
@@ -269,8 +275,7 @@ MocCheckpointSystem::MocCheckpointSystem(const MocSystemConfig& config,
         SaveGroup(group, 0, /*weights=*/true, true, true, report, jobs);
         SaveGroup(group, 0, /*weights=*/false, true, true, report, jobs);
     }
-    jobs.push_back({"extra/state", SerializeExtraState(initial_extra),
-                    /*unit=*/false, std::nullopt});
+    jobs.push_back(ExtraStateJob(initial_extra));
     PersistAll(jobs, 0);
     manifest_.MarkCheckpointComplete(StoreLevel::kMemory, 0);
     manifest_.MarkCheckpointComplete(StoreLevel::kPersist, 0);
@@ -289,6 +294,13 @@ MocCheckpointSystem::GenKey(std::size_t iteration, const std::string& key) {
     return "gen/" + std::to_string(iteration) + "/" + key;
 }
 
+MocCheckpointSystem::PersistJob
+MocCheckpointSystem::ExtraStateJob(const ExtraState& extra) {
+    Blob blob = SerializeExtraState(extra);
+    const std::uint32_t crc = Crc32c(blob.data(), blob.size());
+    return {"extra/state", std::move(blob), crc, /*unit=*/false, std::nullopt};
+}
+
 ObjectStore&
 MocCheckpointSystem::PersistBackend() {
     return config_.persist_backend != nullptr ? *config_.persist_backend
@@ -302,20 +314,15 @@ MocCheckpointSystem::PersistAll(std::vector<PersistJob>& jobs,
     // rename, read-back verify) on a worker under this event's context.
     const obs::TraceContext ctx = obs::CurrentTraceContext();
     std::vector<Bytes> sizes(jobs.size());
-    std::vector<std::uint32_t> crcs(jobs.size());
     std::vector<std::future<void>> writes;
     writes.reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         sizes[i] = jobs[i].blob.size();
-        writes.push_back(persist_pool_.Submit([this, &jobs, &crcs, ctx,
-                                               iteration, i] {
+        writes.push_back(persist_pool_.Submit([this, &jobs, ctx, iteration, i] {
             const obs::TraceContextScope trace_scope(ctx);
             PersistJob& job = jobs[i];
-            // Manifest CRCs are CRC-32C: the blob's embedded per-tensor IEEE
-            // trailers make a same-polynomial outer CRC payload-blind (see
-            // util/crc32.h).
-            crcs[i] = Crc32c(job.blob.data(), job.blob.size());
-            persist_->Put(GenKey(iteration, job.key), std::move(job.blob));
+            persist_->Put(GenKey(iteration, job.key), std::move(job.blob),
+                          job.crc);
         }));
     }
     // Join every write before reading any outcome, then record them in plan
@@ -348,7 +355,7 @@ MocCheckpointSystem::PersistAll(std::vector<PersistJob>& jobs,
                      << StoreErrorKindName(e.kind())
                      << "); shard recorded unverified";
         }
-        manifest_.RecordPersistVersion(job.key, iteration, sizes[i], crcs[i],
+        manifest_.RecordPersistVersion(job.key, iteration, sizes[i], job.crc,
                                        verified);
         if (!job.unit) {
             continue;
@@ -361,6 +368,21 @@ MocCheckpointSystem::PersistAll(std::vector<PersistJob>& jobs,
             obs::ExpertStatsRegistry::Instance().OnPersist(
                 job.expert->first, job.expert->second, iteration, sizes[i]);
         }
+    }
+}
+
+void
+MocCheckpointSystem::ErasePruned(
+    const std::vector<std::pair<std::string, std::size_t>>& pruned) {
+    std::vector<std::future<void>> erases;
+    erases.reserve(pruned.size());
+    for (const auto& [key, gen] : pruned) {
+        erases.push_back(persist_pool_.Submit(
+            [this, path = GenKey(gen, key)] { persist_->Erase(path); }));
+    }
+    persist_pool_.Wait();
+    for (auto& erase : erases) {
+        erase.get();
     }
 }
 
@@ -418,6 +440,9 @@ MocCheckpointSystem::SaveGroup(const ParamGroup& group, std::size_t iteration,
     Blob blob = SerializeParamList(group.params, weights);
     const std::string key = group.key + (weights ? "/w" : "/o");
     const Bytes size = blob.size();
+    // The one CRC-32C of these bytes: it guards the memory replicas on
+    // recovery and is the persisted version's manifest record.
+    const std::uint32_t crc = Crc32c(blob.data(), blob.size());
 
     std::vector<NodeId> nodes;
     if (group.kind == ModuleKind::kExpert) {
@@ -430,7 +455,8 @@ MocCheckpointSystem::SaveGroup(const ParamGroup& group, std::size_t iteration,
     if (to_memory) {
         for (NodeId node : nodes) {
             memory_.Node(node).Put(key, blob);
-            manifest_.RecordSave(StoreLevel::kMemory, key, iteration, node, size);
+            manifest_.RecordSave(StoreLevel::kMemory, key, iteration, node, size,
+                                 crc);
             report.snapshot_bytes += size;
             journal.Append({.kind = obs::EventKind::kSnapshot,
                             .iteration = iteration,
@@ -449,7 +475,7 @@ MocCheckpointSystem::SaveGroup(const ParamGroup& group, std::size_t iteration,
         if (group.kind == ModuleKind::kExpert) {
             expert = {group.moe_index, group.expert};
         }
-        persist.push_back({key, std::move(blob), /*unit=*/true, expert});
+        persist.push_back({key, std::move(blob), crc, /*unit=*/true, expert});
     }
 }
 
@@ -500,16 +526,17 @@ MocCheckpointSystem::Checkpoint(std::size_t iteration, const ExtraState& extra) 
         }
     }
 
-    jobs.push_back({"extra/state", SerializeExtraState(extra),
-                    /*unit=*/false, std::nullopt});
+    jobs.push_back(ExtraStateJob(extra));
     PersistAll(jobs, iteration);
     manifest_.MarkCheckpointComplete(StoreLevel::kMemory, iteration);
     manifest_.MarkCheckpointComplete(StoreLevel::kPersist, iteration);
-    for (const auto& [key, gen] :
-         manifest_.PrunePersistGenerations(config_.persist_generations)) {
-        persist_->Erase(GenKey(gen, key));
-    }
+    // The manifest that stops listing the pruned versions lands before
+    // their blobs go: a crash in between leaves orphan blobs, never a
+    // manifest naming erased ones.
+    const auto pruned =
+        manifest_.PrunePersistGenerations(config_.persist_generations);
     WriteManifestBlob();
+    ErasePruned(pruned);
     ledger_.RecordCheckpointEvent(iteration);
     ++ckpt_count_;
     // The live time-series ring (obs/timeseries.h) reads this gauge each
@@ -633,6 +660,7 @@ MocCheckpointSystem::RecoverFromFault(const std::vector<NodeId>& failed_nodes) {
             const bool is_expert = group_it->second->kind == ModuleKind::kExpert;
             std::optional<Blob> blob;
             std::size_t got_iteration = decision.iteration;
+            bool replica_refused = false;
             if (decision.source == RecoverySource::kMemory) {
                 const auto version =
                     manifest_.Latest(StoreLevel::kMemory, decision.key);
@@ -640,7 +668,17 @@ MocCheckpointSystem::RecoverFromFault(const std::vector<NodeId>& failed_nodes) {
                 blob = memory_.Node(version->node).Get(decision.key);
                 MOC_ASSERT(blob.has_value(), "memory lost a manifest-tracked "
                                              "key: " << decision.key);
-            } else {
+                if (Crc32c(blob->data(), blob->size()) != version->crc) {
+                    // A damaged replica is never deserialized: storage
+                    // serves this key instead.
+                    MOC_WARN << "recover: memory replica of " << decision.key
+                             << " on node " << version->node
+                             << " fails its CRC; reading storage";
+                    blob.reset();
+                    replica_refused = true;
+                }
+            }
+            if (!blob.has_value()) {
                 // Walk the verified-version fallback chain; every damaged
                 // version is marked so later recoveries skip it.
                 for (const auto& version :
@@ -677,7 +715,11 @@ MocCheckpointSystem::RecoverFromFault(const std::vector<NodeId>& failed_nodes) {
                     degraded_counter.Add();
                     report.degraded.push_back(
                         {decision.key, decision.iteration, got_iteration,
-                         "corrupt shard; restored older verified version"});
+                         replica_refused
+                             ? "corrupt memory replica; restored older "
+                               "persisted version"
+                             : "corrupt shard; restored older verified "
+                               "version"});
                     journal.Append(
                         {.kind = obs::EventKind::kDegradedRecovery,
                          .iteration = got_iteration,
@@ -685,7 +727,9 @@ MocCheckpointSystem::RecoverFromFault(const std::vector<NodeId>& failed_nodes) {
                                    std::to_string(decision.iteration) +
                                    ";restored=" +
                                    std::to_string(got_iteration) +
-                                   ";reason=corrupt_shard"});
+                                   (replica_refused
+                                        ? ";reason=corrupt_memory_replica"
+                                        : ";reason=corrupt_shard")});
                 }
             }
             DeserializeParamList(*blob, group_it->second->params, weights);

@@ -153,6 +153,8 @@ class MocCheckpointSystem {
     struct PersistJob {
         std::string key;
         Blob blob;
+        /** CRC-32C of blob, computed once where it was serialized. */
+        std::uint32_t crc;
         /** A model unit (journaled as kPersist); false for extra state. */
         bool unit;
         /** (MoE layer, expert) of an expert unit, for per-expert stats. */
@@ -163,6 +165,9 @@ class MocCheckpointSystem {
                    bool to_memory, bool to_persist, CheckpointReport& report,
                    std::vector<PersistJob>& persist);
 
+    /** The persist job of the checkpoint's "extra/state" blob. */
+    static PersistJob ExtraStateJob(const ExtraState& extra);
+
     /** The configured external backend, or the internal simulated store. */
     ObjectStore& PersistBackend();
 
@@ -172,6 +177,10 @@ class MocCheckpointSystem {
      * job order. At iteration 0 the first failed job rethrows.
      */
     void PersistAll(std::vector<PersistJob>& jobs, std::size_t iteration);
+
+    /** Erases the blobs of @p pruned (key, iteration) versions in parallel. */
+    void ErasePruned(
+        const std::vector<std::pair<std::string, std::size_t>>& pruned);
 
     /** Writes the manifest JSON to meta/manifest (best-effort). */
     void WriteManifestBlob();

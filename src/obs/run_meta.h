@@ -31,7 +31,7 @@ struct RunMetadata {
     std::string git_sha;
     /** argv[0..n] of the producing process, space-joined. */
     std::string command_line;
-    /** CRC-32 (hex) of the bound MocSystemConfig, or empty. */
+    /** CRC-32C (hex) of the bound MocSystemConfig, or empty. */
     std::string config_digest;
     /** Cluster role of the producing process ("coordinator", "rank2", or
         empty for single-process runs). */

@@ -26,7 +26,9 @@ constexpr char kFileSuffix[] = ".blob";
 /** Put temp files are `<key>.blob.tmp.<pid>.<seq>`; a crash of the previous
     Put protocol left `<key>.blob.tmp`, which the infix also matches. */
 constexpr char kTempInfix[] = ".blob.tmp";
-constexpr std::size_t kTrailerSize = sizeof(std::uint32_t);
+/** File trailer: [u32 CRC-32C of the blob][u32 kFormatTag]. */
+constexpr std::uint32_t kFormatTag = 0x3246'4F4D;  // "MOF2" in file order
+constexpr std::size_t kTrailerSize = 2 * sizeof(std::uint32_t);
 
 void
 ValidateKey(const std::string& key) {
@@ -80,11 +82,15 @@ WriteAll(int fd, const void* data, std::size_t len) {
 
 /**
  * Flushes directory @p dir's entries to stable storage, so a rename into
- * it survives power loss.
+ * it survives power loss. A directory that is gone was emptied and removed
+ * by an Erase that ran after the rename: nothing is left to flush.
  */
 void
 SyncDir(const fs::path& dir, const std::string& key) {
     const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0 && errno == ENOENT) {
+        return;
+    }
     if (fd < 0) {
         throw StoreError(StoreErrorKind::kTransient, key,
                          "cannot open for fsync: " + dir.string());
@@ -95,6 +101,29 @@ SyncDir(const fs::path& dir, const std::string& key) {
         throw StoreError(StoreErrorKind::kTransient, key,
                          "fsync failed for " + dir.string());
     }
+}
+
+/** Times a Put re-creates its directory after a racing Erase removed it. */
+constexpr int kMaxDirRaces = 8;
+
+/**
+ * Creates @p dir and opens temp file @p tmp in it. An Erase that empties
+ * and removes the directory (or a parent) between the two steps makes the
+ * open fail with ENOENT; the directory is then created again and the open
+ * retried. Returns the fd, or -1 with errno set.
+ */
+int
+OpenTempIn(const fs::path& dir, const fs::path& tmp) {
+    int fd = -1;
+    for (int attempt = 0; attempt <= kMaxDirRaces; ++attempt) {
+        std::error_code ec;
+        fs::create_directories(dir, ec);  // a failure shows in open's errno
+        fd = ::open(tmp.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
+        if (fd >= 0 || errno != ENOENT) {
+            break;
+        }
+    }
+    return fd;
 }
 
 /**
@@ -143,6 +172,13 @@ WalkFiles(const fs::path& root, Fn&& fn) {
 
 }  // namespace
 
+BlobFormatError::BlobFormatError(const std::string& key,
+                                 const std::string& path)
+    : StoreError(StoreErrorKind::kCorrupt, key,
+                 path + " lacks the " + std::string(FileStore::kFormatName) +
+                     " trailer tag (written by an older build, or the "
+                     "trailer is damaged)") {}
+
 FileStore::FileStore(fs::path root) : root_(std::move(root)) {
     if (fs::exists(root_)) {
         MOC_CHECK_ARG(fs::is_directory(root_),
@@ -164,23 +200,17 @@ FileStore::Put(const std::string& key, Blob blob) {
     const double start = NowSeconds();
     const fs::path path = PathFor(key);
     const fs::path dir = path.parent_path();
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec && !fs::is_directory(dir)) {
-        throw StoreError(StoreErrorKind::kTransient, key,
-                         "cannot create " + dir.string() + ": " + ec.message());
-    }
     const fs::path tmp = TempPathFor(path);
-    const int fd =
-        ::open(tmp.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
+    const int fd = OpenTempIn(dir, tmp);
     if (fd < 0) {
         throw StoreError(StoreErrorKind::kTransient, key,
                          "cannot open " + tmp.string() + ": " + ErrnoText());
     }
-    const std::uint32_t crc = Crc32(blob.data(), blob.size());
+    const std::uint32_t trailer[2] = {Crc32c(blob.data(), blob.size()),
+                                      kFormatTag};
     std::string failed;
     if (!WriteAll(fd, blob.data(), blob.size()) ||
-        !WriteAll(fd, &crc, sizeof(crc))) {
+        !WriteAll(fd, trailer, sizeof(trailer))) {
         failed = "write";
     } else if (::fsync(fd) != 0) {  // data durable before it becomes visible
         failed = "fsync";
@@ -220,21 +250,24 @@ FileStore::Get(const std::string& key) const {
         registry_for_errors.GetCounter("store.corrupt_reads_total");
     const auto total = static_cast<std::size_t>(in.tellg());
     if (total < kTrailerSize) {
-        corrupt_reads.Add();
-        throw StoreError(StoreErrorKind::kCorrupt, key,
-                         "truncated blob file " + path.string());
+        corrupt_reads.Add();  // too short to end in the tag
+        throw BlobFormatError(key, path.string());
     }
     Blob blob(total - kTrailerSize);
-    std::uint32_t stored_crc = 0;
+    std::uint32_t trailer[2] = {0, 0};
     in.seekg(0);
     in.read(reinterpret_cast<char*>(blob.data()),
             static_cast<std::streamsize>(blob.size()));
-    in.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
+    in.read(reinterpret_cast<char*>(trailer), sizeof(trailer));
     if (!in) {
         throw StoreError(StoreErrorKind::kTransient, key,
                          "read failed for " + path.string());
     }
-    if (Crc32(blob.data(), blob.size()) != stored_crc) {
+    if (trailer[1] != kFormatTag) {
+        corrupt_reads.Add();
+        throw BlobFormatError(key, path.string());
+    }
+    if (Crc32c(blob.data(), blob.size()) != trailer[0]) {
         corrupt_reads.Add();
         throw StoreError(StoreErrorKind::kCorrupt, key,
                          "CRC mismatch (torn write?) in " + path.string());
@@ -256,9 +289,21 @@ FileStore::Contains(const std::string& key) const {
 
 void
 FileStore::Erase(const std::string& key) {
-    const fs::path path = PathFor(key);
+    fs::path path = PathFor(key);
     std::error_code ec;
-    fs::remove(path, ec);
+    if (!fs::remove(path, ec)) {
+        return;
+    }
+    // Remove each directory the key's segments made while it is empty.
+    // rmdir fails on a non-empty directory, so a concurrent Put's temp
+    // file keeps its directory; a Put that loses the race re-creates it.
+    for (auto depth = std::count(key.begin(), key.end(), '/'); depth > 0;
+         --depth) {
+        path = path.parent_path();
+        if (::rmdir(path.c_str()) != 0) {
+            break;
+        }
+    }
 }
 
 std::vector<std::string>

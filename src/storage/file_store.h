@@ -6,9 +6,12 @@
  * A real on-disk persistent store: the production counterpart of the
  * simulated PersistentStore. Each key maps to one file under a root
  * directory ("/" in keys becomes a subdirectory), written atomically
- * (temp file + rename) with a CRC32 trailer so torn writes are detected on
- * read. Useful when the library is embedded in an actual training job
- * rather than an experiment harness.
+ * (temp file + rename) with an 8-byte trailer, [u32 CRC-32C of the blob]
+ * [u32 format tag "MOF2"], so torn writes and bit rot are detected on
+ * read. The tag sits outside the blob, so a manifest CRC-32C over the blob
+ * never runs across the trailer. A file without the tag (the previous
+ * format's IEEE CRC-32 trailer, or a damaged one) reads as BlobFormatError.
+ * Erase removes the directories a key's segments made once they are empty.
  *
  * The store holds no lock: Put, Get and Erase are safe to call concurrently
  * on any keys, from threads or processes sharing the root. Each Put writes
@@ -21,8 +24,18 @@
 #include <string>
 
 #include "storage/object_store.h"
+#include "storage/store_error.h"
 
 namespace moc {
+
+/**
+ * kCorrupt from a file that does not end in the current format tag. fsck
+ * reports these separately from CRC damage.
+ */
+class BlobFormatError final : public StoreError {
+  public:
+    BlobFormatError(const std::string& key, const std::string& path);
+};
 
 /**
  * Durable file-backed key-value store.
@@ -32,6 +45,9 @@ namespace moc {
  */
 class FileStore final : public ObjectStore {
   public:
+    /** Name of the on-disk file format, as error messages and fsck say it. */
+    static constexpr const char* kFormatName = "moc-file/2";
+
     /**
      * Opens (creating if needed) the store rooted at @p root.
      * @throws std::invalid_argument if @p root exists and is not a directory.

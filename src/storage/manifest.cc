@@ -17,9 +17,10 @@ VersionedShardKey(const std::string& key, std::size_t iteration) {
 
 void
 CheckpointManifest::RecordSave(StoreLevel level, const std::string& key,
-                               std::size_t iteration, NodeId node, Bytes bytes) {
+                               std::size_t iteration, NodeId node, Bytes bytes,
+                               std::uint32_t crc) {
     if (level == StoreLevel::kPersist) {
-        RecordPersistVersion(key, iteration, bytes, /*crc=*/0, /*verified=*/true);
+        RecordPersistVersion(key, iteration, bytes, crc, /*verified=*/true);
         return;
     }
     std::lock_guard<std::mutex> lock(mu_);
@@ -28,7 +29,7 @@ CheckpointManifest::RecordSave(StoreLevel level, const std::string& key,
     if (it != replicas.end() && it->second.iteration > iteration) {
         MOC_PANIC("manifest: non-monotonic memory save for key " << key);
     }
-    replicas[node] = KeyVersion{iteration, node, bytes};
+    replicas[node] = KeyVersion{iteration, node, bytes, crc};
 }
 
 void
@@ -125,7 +126,7 @@ CheckpointManifest::Latest(StoreLevel level, const std::string& key) const {
     }
     for (auto v = it->second.rbegin(); v != it->second.rend(); ++v) {
         if (!v->corrupt) {
-            return KeyVersion{v->iteration, 0, v->bytes};
+            return KeyVersion{v->iteration, 0, v->bytes, v->crc};
         }
     }
     return std::nullopt;

@@ -55,13 +55,15 @@ struct KeyVersion {
     /** Node whose memory holds it (memory level; 0 for persist). */
     NodeId node = 0;
     Bytes bytes = 0;
+    /** CRC-32C of the saved blob (0 when the caller recorded none). */
+    std::uint32_t crc = 0;
 };
 
 /** One persisted version of one key, with its integrity record. */
 struct PersistVersion {
     std::size_t iteration = 0;
     Bytes bytes = 0;
-    /** CRC32 of the serialized shard at write time. */
+    /** CRC-32C of the serialized shard at write time. */
     std::uint32_t crc = 0;
     /** Write was read back and CRC-matched (or predates verification). */
     bool verified = true;
@@ -130,13 +132,13 @@ struct GenerationInfo {
 class CheckpointManifest {
   public:
     /**
-     * Records that @p key was saved at @p level capturing @p iteration.
-     * Persist-level saves through this legacy entry point record an
-     * unverified-CRC version (crc 0, verified); prefer
+     * Records that @p key was saved at @p level capturing @p iteration,
+     * as bytes whose CRC-32C is @p crc. Persist-level saves through this
+     * legacy entry point record a verified version; prefer
      * RecordPersistVersion for checked recovery.
      */
     void RecordSave(StoreLevel level, const std::string& key, std::size_t iteration,
-                    NodeId node, Bytes bytes);
+                    NodeId node, Bytes bytes, std::uint32_t crc = 0);
 
     /**
      * Records a persist-level version with its integrity metadata.

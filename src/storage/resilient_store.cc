@@ -19,9 +19,8 @@ StoreCounter(const char* suffix) {
                                                        suffix);
 }
 
-// Verification uses CRC-32C: checkpoint blobs embed per-tensor IEEE
-// trailers, and a same-polynomial outer CRC is blind to the payload
-// (see util/crc32.h).
+// Verification uses CRC-32C, the one checksum family of the checkpoint
+// path (see util/crc32.h).
 std::uint32_t
 BlobCrc(const Blob& blob) {
     return Crc32c(blob.data(), blob.size());
@@ -76,8 +75,13 @@ ResilientStore::CheckDeadline(Seconds start, const std::string& key,
 
 void
 ResilientStore::Put(const std::string& key, Blob blob) {
-    const Seconds start = Now();
     const std::uint32_t crc = BlobCrc(blob);
+    Put(key, std::move(blob), crc);
+}
+
+void
+ResilientStore::Put(const std::string& key, Blob blob, std::uint32_t crc) {
+    const Seconds start = Now();
     static obs::Counter& retries = StoreCounter("retries_total");
     static obs::Counter& verify_failures = StoreCounter("put_verify_failures_total");
     std::string last_error = "no attempt made";
@@ -198,7 +202,8 @@ ResilientStore::GetChecked(const std::string& key,
             MOC_WARN << "store: read-repaired " << key << " from a replica";
             try {
                 // Put through ourselves: retried and (optionally) verified.
-                const_cast<ResilientStore*>(this)->Put(key, *replica);
+                const_cast<ResilientStore*>(this)->Put(key, *replica,
+                                                       expected_crc);
             } catch (const StoreError&) {
                 // Repair write failed; the replica bytes are still good.
             }

@@ -73,6 +73,9 @@ class ResilientStore final : public ObjectStore {
      */
     void Put(const std::string& key, Blob blob) override;
 
+    /** Put of a blob whose CRC-32C the caller already holds as @p crc. */
+    void Put(const std::string& key, Blob blob, std::uint32_t crc);
+
     /** Get with transient-error retries. No CRC expectation is checked. */
     std::optional<Blob> Get(const std::string& key) const override;
 

@@ -5,22 +5,21 @@
  * @file
  * CRC-32 in two polynomials.
  *
- * Crc32 (IEEE 802.3, 0xEDB88320) is the wire-format checksum: tensor
- * blobs and FileStore files carry it as a trailer next to the bytes it
- * covers, so bit rot in transit or at rest is detected on parse.
+ * Crc32c (Castagnoli, 0x82F63B78) is the one checksum family of the
+ * checkpoint path: the FileStore file trailer, the manifest record of
+ * every persisted shard and chunk, write read-back verify, the memory
+ * replica check on recovery, fsck, and the transport's frame trailer all
+ * use it. Tensor encodings carry no checksum of their own, so no blob
+ * embeds a CRC of its own sections. That matters because CRC is linear
+ * over GF(2): running a CRC across `message || crc(message)` drives the
+ * register into a constant state independent of the message, so an outer
+ * CRC over sections that end in same-polynomial trailers never sees their
+ * payloads (`Crc32c.DifferentPolynomialSeesThroughEmbeddedTrailers`). The
+ * FileStore trailer sits outside the blob and ends in a format tag, so no
+ * CRC runs across it.
  *
- * Crc32c (Castagnoli, 0x82F63B78) is the *verification* checksum: the
- * value a manifest records for a shard and later compares against
- * re-read bytes. It MUST be a different polynomial than the trailers
- * embedded inside the blob. CRC is linear over GF(2), and running a CRC
- * across `message || crc(message)` drives the register into a constant
- * state independent of the message — so an outer IEEE CRC over a blob
- * whose sections each end with their own IEEE trailer never sees the
- * payload at all. Two same-shaped blobs from different training
- * iterations then collide, and a lost write that leaves stale
- * same-shaped bytes in place passes verification. A second polynomial
- * breaks the cancellation: the embedded trailer is no longer the outer
- * register's own image of the section.
+ * Crc32 (IEEE 802.3, 0xEDB88320) is no longer written anywhere; it stays
+ * as the `util.crc32_gbps` throughput probe's reference point.
  *
  * Both run slice-by-8 tables by default. Crc32c sits on the checkpoint
  * critical path (every shard, chunk and read-back is checked with it), so

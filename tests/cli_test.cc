@@ -14,6 +14,7 @@
 #include "core/cold_start.h"
 #include "nn/model.h"
 #include "storage/file_store.h"
+#include "util/crc32.h"
 
 namespace moc {
 namespace {
@@ -257,6 +258,41 @@ TEST(Cli, FsckDamagedTwinIsRepairable) {
     std::ostringstream err;
     EXPECT_EQ(Main({"fsck", dir.string()}, out, err), 1) << out.str();
     EXPECT_NE(out.str().find("damaged file"), std::string::npos) << out.str();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Cli, FsckNamesOldFormatBlob) {
+    const auto dir = MakeCheckpointDir("moc_cli_fsck_old_format");
+    const std::string key = "gen/12/moe/0/expert/0/w";
+    {
+        // Rewrite one file as the previous build wrote it: the blob, then
+        // its IEEE CRC-32, no format tag.
+        const Blob blob = *FileStore(dir).Get(key);
+        const std::uint32_t crc = Crc32(blob.data(), blob.size());
+        std::ofstream f(dir / (key + ".blob"),
+                        std::ios::binary | std::ios::trunc);
+        f.write(reinterpret_cast<const char*>(blob.data()),
+                static_cast<std::streamsize>(blob.size()));
+        f.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    }
+    const auto json = dir / "fsck.json";
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(Main({"fsck", dir.string(), "--json", json.string()}, out, err),
+              1)
+        << out.str();
+    EXPECT_NE(out.str().find(FileStore::kFormatName), std::string::npos)
+        << out.str();
+    std::ifstream in(json);
+    std::stringstream doc;
+    doc << in.rdbuf();
+    const std::string listed = "[\"" + key + "\"]";
+    EXPECT_NE(doc.str().find("\"format_errors\": " + listed),
+              std::string::npos)
+        << doc.str();
+    EXPECT_NE(doc.str().find("\"damaged_files\": " + listed),
+              std::string::npos)
+        << doc.str();
     std::filesystem::remove_all(dir);
 }
 

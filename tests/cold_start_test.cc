@@ -124,6 +124,39 @@ TEST(ColdStart, ReportsMissingUnits) {
     EXPECT_EQ(report.missing[0], "embedding/w");
 }
 
+TEST(ColdStart, FlippedTensorPayloadFallsBackAGeneration) {
+    MoeTransformerLm original(TinyLm());
+    RankTopology topo({.dp = 4, .ep = 4, .tp = 1, .pp = 1}, 2);
+    MocSystemConfig cfg;
+    cfg.pec.k_snapshot = 4;
+    cfg.pec.k_persist = 4;
+    cfg.i_ckpt = 4;
+    ExtraState extra{0, 0, original.gating_rng().GetState()};
+    MocCheckpointSystem system(cfg, original, topo, TinyLm().ToModelSpec(), extra);
+    extra.iteration = 4;
+    system.Checkpoint(4, extra);
+    const Tensor at_4 = original.AllParameters()[0]->value();
+    for (auto* p : original.AllParameters()) {
+        p->value()[0] += 1.0F;
+    }
+    extra.iteration = 8;
+    system.Checkpoint(8, extra);
+
+    // One payload bit of a non-expert unit at generation 8. The tensor
+    // encoding has no checksum of its own; the manifest CRC-32C catches it.
+    auto& storage = system.storage();
+    const std::string key = MocCheckpointSystem::GenKey(8, "embedding/w");
+    Blob blob = *storage.Get(key);
+    blob.back() ^= 0x01;
+    storage.Put(key, std::move(blob));
+
+    MoeTransformerLm fresh(TinyLm());
+    const auto report = ColdStartFromStore(fresh, storage);
+    EXPECT_EQ(report.generation, 4U);
+    EXPECT_EQ(report.extra.iteration, 4U);
+    EXPECT_TRUE(fresh.AllParameters()[0]->value().AllClose(at_4, 0.0F));
+}
+
 TEST(CopyStore, CopiesEverythingAcrossBackends) {
     MemoryStore src;
     src.Put("a/b", Blob(10, 1));

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
 #include <map>
+#include <mutex>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "core/overhead.h"
 #include "nn/model.h"
 #include "obs/journal.h"
+#include "storage/file_store.h"
 #include "storage/memory_store.h"
 #include "storage/store_error.h"
 
@@ -398,6 +403,212 @@ TEST(MocSystem, JournalPersistSequenceIsDeterministic) {
     const auto second = PersistJournal();
     ASSERT_FALSE(first.empty());
     EXPECT_EQ(first, second);
+}
+
+/** Flips the last byte (tensor payload) of @p key's replica on @p node. */
+void
+FlipMemoryReplica(MocCheckpointSystem& system, NodeId node,
+                  const std::string& key) {
+    auto blob = system.memory().Node(node).Get(key);
+    ASSERT_TRUE(blob.has_value()) << key;
+    blob->back() ^= 0x01;
+    system.memory().Node(node).Put(key, std::move(*blob));
+}
+
+const RecoveryDecision*
+FindDecision(const RecoveryReport& report, const std::string& key) {
+    for (const auto& decision : report.plan.decisions) {
+        if (decision.key == key) {
+            return &decision;
+        }
+    }
+    return nullptr;
+}
+
+TEST(MocSystem, FlippedMemoryReplicaIsRefusedAndReadFromStorage) {
+    MoeTransformerLm model(TinyLm());
+    const auto topo = TwoNodeTopology();
+    ExtraState extra{0, 0, model.gating_rng().GetState()};
+    MocCheckpointSystem system(DefaultSystem(4, 4), model, topo,
+                               TinyLm().ToModelSpec(), extra);
+    extra.iteration = 4;
+    system.Checkpoint(4, extra);
+    const auto before = SnapshotWeights(model);
+
+    // A unit whose replica lives on the node that survives the fault.
+    std::string victim;
+    NodeId holder = 0;
+    for (const auto& group : model.ParameterGroups()) {
+        const auto mem = system.manifest().Latest(StoreLevel::kMemory,
+                                                  group.key + "/w");
+        if (mem.has_value() && mem->node != 0) {
+            victim = group.key + "/w";
+            holder = mem->node;
+            break;
+        }
+    }
+    ASSERT_FALSE(victim.empty());
+    FlipMemoryReplica(system, holder, victim);
+
+    PerturbWeights(model, 1.0F);
+    const RecoveryReport report = system.RecoverFromFault({0});
+    const RecoveryDecision* decision = FindDecision(report, victim);
+    ASSERT_NE(decision, nullptr);
+    EXPECT_EQ(decision->source, RecoverySource::kMemory);
+    // The flipped bytes never reached the model: storage held the same
+    // iteration, so the restore is exact and nothing degraded.
+    const auto params = model.AllParameters();
+    for (std::size_t i = 0; i < params.size(); ++i) {
+        EXPECT_TRUE(params[i]->value().AllClose(before[i], 0.0F))
+            << params[i]->name();
+    }
+    EXPECT_TRUE(report.degraded.empty());
+}
+
+TEST(MocSystem, RefusedReplicaNewerThanStorageDegrades) {
+    MoeTransformerLm model(TinyLm());
+    const auto topo = TwoNodeTopology();
+    ExtraState extra{0, 0, model.gating_rng().GetState()};
+    // K_snapshot 4, K_persist 1: most experts are in memory at iteration 4
+    // but persisted only at 0.
+    MocCheckpointSystem system(DefaultSystem(4, 1), model, topo,
+                               TinyLm().ToModelSpec(), extra);
+    extra.iteration = 4;
+    system.Checkpoint(4, extra);
+
+    std::string victim;
+    NodeId holder = 0;
+    for (const auto& group : model.ParameterGroups()) {
+        if (group.kind != ModuleKind::kExpert) {
+            continue;
+        }
+        const std::string key = group.key + "/w";
+        const auto mem = system.manifest().Latest(StoreLevel::kMemory, key);
+        const auto chain = system.manifest().PersistFallbackChain(key, 4);
+        if (mem.has_value() && mem->node != 0 && mem->iteration == 4 &&
+            !chain.empty() && chain.front().iteration == 0) {
+            victim = key;
+            holder = mem->node;
+            break;
+        }
+    }
+    ASSERT_FALSE(victim.empty());
+    FlipMemoryReplica(system, holder, victim);
+
+    const RecoveryReport report = system.RecoverFromFault({0});
+    ASSERT_EQ(report.degraded.size(), 1U);
+    EXPECT_EQ(report.degraded[0].key, victim);
+    EXPECT_EQ(report.degraded[0].planned_iteration, 4U);
+    EXPECT_EQ(report.degraded[0].restored_iteration, 0U);
+    EXPECT_NE(report.degraded[0].reason.find("memory replica"),
+              std::string::npos)
+        << report.degraded[0].reason;
+}
+
+/** A MemoryStore that logs every Put and Erase key, in call order. */
+class RecordingStore final : public ObjectStore {
+  public:
+    void Put(const std::string& key, Blob blob) override {
+        Log("put " + key);
+        base_.Put(key, std::move(blob));
+    }
+    std::optional<Blob> Get(const std::string& key) const override {
+        return base_.Get(key);
+    }
+    bool Contains(const std::string& key) const override {
+        return base_.Contains(key);
+    }
+    void Erase(const std::string& key) override {
+        Log("erase " + key);
+        base_.Erase(key);
+    }
+    std::vector<std::string> Keys() const override { return base_.Keys(); }
+    Bytes TotalBytes() const override { return base_.TotalBytes(); }
+    std::size_t Count() const override { return base_.Count(); }
+
+    std::vector<std::string> ops() const {
+        const std::lock_guard<std::mutex> lock(mu_);
+        return ops_;
+    }
+
+  private:
+    void Log(std::string op) {
+        const std::lock_guard<std::mutex> lock(mu_);
+        ops_.push_back(std::move(op));
+    }
+
+    mutable std::mutex mu_;
+    std::vector<std::string> ops_;
+    MemoryStore base_;
+};
+
+TEST(MocSystem, ManifestLandsBeforePrunedBlobsAreErased) {
+    MoeTransformerLm model(TinyLm());
+    const auto topo = TwoNodeTopology();
+    RecordingStore store;
+    MocSystemConfig cfg = DefaultSystem(4, 4);
+    cfg.persist_backend = &store;
+    cfg.persist_generations = 1;
+    ExtraState extra{0, 0, model.gating_rng().GetState()};
+    MocCheckpointSystem system(cfg, model, topo, TinyLm().ToModelSpec(), extra);
+    for (const std::size_t iteration : {4, 8, 12}) {
+        extra.iteration = iteration;
+        system.Checkpoint(iteration, extra);
+    }
+    const auto ops = store.ops();
+    const std::string manifest_put = std::string("put ") + kManifestKey;
+    std::size_t erases = 0;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].rfind("erase ", 0) != 0) {
+            continue;
+        }
+        ++erases;
+        // The newest write before this erase is the manifest that no
+        // longer lists the erased version.
+        std::size_t j = i;
+        while (j > 0 && ops[j - 1].rfind("erase ", 0) == 0) {
+            --j;
+        }
+        ASSERT_GT(j, 0U) << ops[i];
+        EXPECT_EQ(ops[j - 1], manifest_put) << ops[i];
+    }
+    EXPECT_GT(erases, 0U);
+}
+
+TEST(MocSystem, PruningLeavesNoEmptyDirectories) {
+    namespace fs = std::filesystem;
+    const fs::path root =
+        fs::temp_directory_path() /
+        ("moc_prune_dirs_" + std::to_string(::getpid()));
+    fs::remove_all(root);
+    {
+        FileStore store(root);
+        MoeTransformerLm model(TinyLm());
+        const auto topo = TwoNodeTopology();
+        MocSystemConfig cfg = DefaultSystem(2, 1);
+        cfg.persist_backend = &store;
+        cfg.persist_generations = 1;
+        ExtraState extra{0, 0, model.gating_rng().GetState()};
+        MocCheckpointSystem system(cfg, model, topo, TinyLm().ToModelSpec(),
+                                   extra);
+        for (const std::size_t iteration : {4, 8, 12, 16}) {
+            extra.iteration = iteration;
+            system.Checkpoint(iteration, extra);
+        }
+        // Non-expert units are persisted every event, so generation 4's
+        // copies were pruned and their directory went with them.
+        ASSERT_TRUE(fs::exists(root / "gen" / "16" / "embedding"));
+        EXPECT_FALSE(fs::exists(root / "gen" / "4" / "embedding"));
+    }
+    std::size_t dirs = 0;
+    for (const auto& entry : fs::recursive_directory_iterator(root / "gen")) {
+        if (entry.is_directory()) {
+            ++dirs;
+            EXPECT_FALSE(fs::is_empty(entry.path())) << entry.path();
+        }
+    }
+    EXPECT_GT(dirs, 0U);
+    fs::remove_all(root);
 }
 
 // ---------- Adaptive configuration ----------

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the on-disk FileStore: round trips, nested keys, torn-write
  * detection, crash-consistency damage (truncation, bit flips, zero fill),
- * key validation, lock-free concurrent Put/Get/listing, and
+ * previous-format files, directory pruning on Erase, key validation,
+ * lock-free concurrent Put/Get/Erase/listing, and
  * interchangeability with MemoryStore through the ObjectStore interface.
  */
 
@@ -18,6 +19,9 @@
 #include "storage/file_store.h"
 #include "storage/memory_store.h"
 #include "storage/store_error.h"
+#include "tensor/serialize.h"
+#include "util/crc32.h"
+#include "util/rng.h"
 
 namespace fs = std::filesystem;
 
@@ -198,6 +202,66 @@ TEST(FileStoreCrash, DamageToOneKeyLeavesOthersReadable) {
     EXPECT_EQ(store.Get("good")->size(), 64U);
 }
 
+TEST(FileStoreCrash, FlippedTensorPayloadIsTypedCorrupt) {
+    TempDir dir("tensorflip");
+    FileStore store(dir.path());
+    Rng rng(11);
+    const Blob blob = SerializeTensor(Tensor::Randn({8}, rng, 1.0F));
+    store.Put("t", blob);
+    // The last payload byte: the encoding itself carries no checksum, so
+    // the file trailer's CRC-32C is what refuses it.
+    Smash(dir.path() / "t.blob", blob.size() - 1, 1,
+          static_cast<char>(blob.back() ^ 0xFF));
+    try {
+        store.Get("t");
+        FAIL() << "flipped tensor payload read back without error";
+    } catch (const BlobFormatError&) {
+        FAIL() << "an intact trailer was reported as a format error";
+    } catch (const StoreError& e) {
+        EXPECT_EQ(e.kind(), StoreErrorKind::kCorrupt);
+    }
+}
+
+TEST(FileStoreCrash, PreviousFormatFileIsTypedFormatError) {
+    TempDir dir("oldformat");
+    {
+        // The previous layout: the blob, then its IEEE CRC-32, no tag.
+        const Blob blob = MakeBlob(64, 0x5C);
+        const std::uint32_t crc = Crc32(blob.data(), blob.size());
+        std::ofstream f(dir.path() / "old.blob", std::ios::binary);
+        f.write(reinterpret_cast<const char*>(blob.data()),
+                static_cast<std::streamsize>(blob.size()));
+        f.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    }
+    FileStore store(dir.path());
+    const std::uint64_t before = CorruptReads().value();
+    try {
+        store.Get("old");
+        FAIL() << "previous-format file read back without error";
+    } catch (const BlobFormatError& e) {
+        EXPECT_EQ(e.kind(), StoreErrorKind::kCorrupt);
+        EXPECT_NE(std::string(e.what()).find(FileStore::kFormatName),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(CorruptReads().value(), before + 1);
+}
+
+TEST(FileStore, EraseRemovesEmptiedDirectories) {
+    TempDir dir("erase_dirs");
+    FileStore store(dir.path());
+    store.Put("gen/4/moe/0/w", MakeBlob(8, 1));
+    store.Put("gen/4/moe/1/w", MakeBlob(8, 2));
+    store.Erase("gen/4/moe/0/w");
+    EXPECT_FALSE(fs::exists(dir.path() / "gen" / "4" / "moe" / "0"));
+    EXPECT_TRUE(fs::exists(dir.path() / "gen" / "4" / "moe" / "1"));
+    store.Erase("gen/4/moe/1/w");
+    EXPECT_FALSE(fs::exists(dir.path() / "gen"));
+    EXPECT_TRUE(fs::is_directory(dir.path()));  // the root stays
+    store.Put("gen/4/moe/0/w", MakeBlob(8, 3));  // and is reusable
+    EXPECT_EQ(store.Get("gen/4/moe/0/w")->front(), 3);
+}
+
 TEST(FileStore, RejectsBadKeys) {
     TempDir dir("badkeys");
     FileStore store(dir.path());
@@ -333,6 +397,45 @@ TEST(FileStoreConcurrency, ListingDuringPutsNeverThrowsOrShowsTempFiles) {
     EXPECT_GE(listings.load(), 2);
     for (const auto& key : store.Keys()) {
         EXPECT_EQ(key.find(".tmp"), std::string::npos) << key;
+    }
+    EXPECT_TRUE(store.TempFiles().empty());
+}
+
+TEST(FileStoreConcurrency, PutAndEraseInOneDirectoryNeverFailAPut) {
+    TempDir dir("concurrent_erase");
+    FileStore store(dir.path());
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 200;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            // Every key shares gen/1/d, so each Erase that empties it races
+            // the other threads' Puts into it.
+            const std::string key = "gen/1/d/k" + std::to_string(t);
+            for (int r = 0; r < kRounds; ++r) {
+                const Blob blob(64, static_cast<std::uint8_t>(r));
+                try {
+                    store.Put(key, blob);
+                    const auto back = store.Get(key);
+                    if (!back || *back != blob) {
+                        ++failures;
+                    }
+                    store.Erase(key);
+                } catch (const std::exception&) {
+                    ++failures;
+                }
+            }
+            store.Put(key, Blob(16, static_cast<std::uint8_t>(t)));
+        });
+    }
+    for (auto& thread : threads) {
+        thread.join();
+    }
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(store.Count(), static_cast<std::size_t>(kThreads));
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(store.Get("gen/1/d/k" + std::to_string(t))->front(), t);
     }
     EXPECT_TRUE(store.TempFiles().empty());
 }

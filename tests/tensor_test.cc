@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
@@ -365,12 +366,29 @@ TEST(Serialize, RoundTripPreservesEverything) {
     EXPECT_EQ(back.shape(), t.shape());
 }
 
-TEST(Serialize, DetectsCorruption) {
+// A flipped payload byte parses: the encoding has no checksum of its own.
+// The layers above refuse it first (FileStoreCrash.FlippedTensorPayload*,
+// ColdStart.FlippedTensorPayload*, MocSystem.FlippedMemoryReplica*).
+
+TEST(Serialize, RejectsPreviousFormatMagic) {
     Rng rng(11);
-    auto t = Tensor::Randn({8}, rng, 1.0F);
-    auto blob = SerializeTensor(t);
-    blob[blob.size() / 2] ^= 0xFF;
+    auto blob = SerializeTensor(Tensor::Randn({8}, rng, 1.0F));
+    const std::uint32_t old_magic = 0x4D4F4354;  // "MOCT", IEEE-trailed
+    std::memcpy(blob.data(), &old_magic, sizeof(old_magic));
     EXPECT_THROW(DeserializeTensor(blob), std::runtime_error);
+}
+
+TEST(Serialize, DeserializeIntoChecksShapeAndLeavesDestinationOnError) {
+    Rng rng(13);
+    const auto t = Tensor::Randn({2, 3}, rng, 1.0F);
+    const auto blob = SerializeTensor(t);
+    Tensor dst({2, 3});
+    DeserializeTensorInto(blob.data(), blob.size(), dst);
+    EXPECT_TRUE(dst.AllClose(t, 0.0F));
+    Tensor wrong({3, 2});
+    EXPECT_THROW(DeserializeTensorInto(blob.data(), blob.size(), wrong),
+                 std::invalid_argument);
+    EXPECT_TRUE(wrong.AllClose(Tensor({3, 2}), 0.0F));
 }
 
 TEST(Serialize, DetectsTruncation) {

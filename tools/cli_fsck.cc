@@ -3,8 +3,11 @@
  * `moc_cli fsck`: scrubs a FileStore checkpoint directory against its own
  * manifest (`meta/manifest`, format moc-manifest/1). Three passes:
  *
- *   1. physical — every stored file is read back through the CRC trailer,
- *      so torn writes and bit rot surface as damaged files;
+ *   1. physical — every stored file is read back through its CRC-32C
+ *      trailer, so torn writes and bit rot surface as damaged files. A
+ *      file whose trailer lacks the current format tag (written by an
+ *      older build, or with a damaged trailer) is damaged and is also
+ *      listed as a format error;
  *   2. logical — every persist version the manifest records is located
  *      (versioned shard key `<key>@<iter>` at its physical iteration —
  *      dedup refs resolved — or the `gen/<iter>/<key>` copy) and its
@@ -44,8 +47,8 @@
  * (repairable — recovery will degrade or remap, not die); 2 = fatal (no
  * restartable generation, or the manifest itself is unreadable alongside
  * damage). `--json <path>` writes a moc-fsck/1 document listing every
- * damaged file, torn/aborted generation, and orphaned generation so CI can
- * assert detection coverage.
+ * damaged file, format error, torn/aborted generation, and orphaned
+ * generation so CI can assert detection coverage.
  */
 
 #include <cstdint>
@@ -83,6 +86,8 @@ struct FileHealth {
     std::uint32_t crc = 0;
     /** What Get() reported when unreadable. */
     std::string error;
+    /** Unreadable because the file is not in FileStore::kFormatName. */
+    bool format_error = false;
 };
 
 /** Reads every physical key once, classifying damage by typed kind. */
@@ -95,12 +100,13 @@ ScrubFiles(const FileStore& store) {
             if (const auto blob = store.Get(key)) {
                 h.readable = true;
                 h.bytes = blob->size();
-                // CRC-32C to match what the manifest records (see
-                // util/crc32.h for why it differs from the trailers).
                 h.crc = Crc32c(blob->data(), blob->size());
             } else {
                 h.error = "missing";
             }
+        } catch (const BlobFormatError& e) {
+            h.error = std::string("format: ") + e.what();
+            h.format_error = true;
         } catch (const StoreError& e) {
             h.error = std::string(StoreErrorKindName(e.kind())) + ": " +
                       e.what();
@@ -237,9 +243,13 @@ RunFsck(const Args& args, std::ostream& out) {
     }
 
     std::vector<std::string> damaged_files;
+    std::vector<std::string> format_errors;
     for (const auto& [key, health] : files) {
         if (!health.readable) {
             damaged_files.push_back(key);
+        }
+        if (health.format_error) {
+            format_errors.push_back(key);
         }
     }
 
@@ -410,6 +420,12 @@ RunFsck(const Args& args, std::ostream& out) {
 
     out << "fsck " << root << ": " << files.size() << " files, "
         << damaged_files.size() << " damaged\n";
+    if (!format_errors.empty()) {
+        out << "note: " << format_errors.size() << " file(s) not in "
+            << FileStore::kFormatName
+            << " format (older build or damaged trailer); this build does "
+               "not read them\n";
+    }
     if (!have_manifest) {
         out << "warning: no usable manifest (" << manifest_error
             << ") — physical scrub only\n";
@@ -496,6 +512,11 @@ RunFsck(const Args& args, std::ostream& out) {
         for (std::size_t i = 0; i < damaged_files.size(); ++i) {
             j << (i == 0 ? "" : ", ") << "\""
               << obs::JsonEscape(damaged_files[i]) << "\"";
+        }
+        j << "],\n  \"format_errors\": [";
+        for (std::size_t i = 0; i < format_errors.size(); ++i) {
+            j << (i == 0 ? "" : ", ") << "\""
+              << obs::JsonEscape(format_errors[i]) << "\"";
         }
         j << "],\n  \"missing_versions\": [";
         for (std::size_t i = 0; i < missing.size(); ++i) {
