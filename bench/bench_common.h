@@ -19,6 +19,7 @@
 #include "obs/export.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "util/json.h"
 
 namespace moc::bench {
 
@@ -107,20 +108,19 @@ using BenchScalars = std::vector<std::pair<std::string, double>>;
 inline void
 WriteBenchMetrics(const char* bench_id, const BenchScalars& scalars = {}) {
     {
-        std::string j = "{\n  \"schema\": \"moc-bench/1\",\n  \"bench\": \"";
-        j += moc::obs::JsonEscape(bench_id);
-        j += "\",\n  \"run_meta\": {\"harness\": \"bench_";
-        j += moc::obs::JsonEscape(bench_id);
-        j += "\", \"results_dir\": \"results\"},\n  \"scalars\": {";
-        for (std::size_t i = 0; i < scalars.size(); ++i) {
-            j += i == 0 ? "\n" : ",\n";
-            j += "    \"" + moc::obs::JsonEscape(scalars[i].first) +
-                 "\": " + moc::obs::JsonNumber(scalars[i].second);
+        json::Writer j;
+        j.BeginObject().Field("schema", "moc-bench/1").Field("bench", bench_id)
+            .Key("run_meta").BeginObject()
+            .Field("harness", std::string("bench_") + bench_id)
+            .Field("results_dir", "results").EndObject()
+            .Key("scalars").BeginObject();
+        for (const auto& [name, value] : scalars) {
+            j.Field(name, value);
         }
-        j += scalars.empty() ? "}\n}\n" : "\n  }\n}\n";
+        j.EndObject().EndObject().EndLine();
         const std::string summary_path =
             std::string("results/BENCH_") + bench_id + ".json";
-        if (moc::obs::WriteTextFile(summary_path, j, "bench summary")) {
+        if (moc::obs::WriteTextFile(summary_path, j.str(), "bench summary")) {
             std::printf("bench summary written to %s\n", summary_path.c_str());
         }
     }

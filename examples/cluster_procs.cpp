@@ -885,6 +885,15 @@ RunRank(std::size_t rank, std::size_t ranks, const std::string& ckpt_dir,
             ++shards_done;
         }
         faults.Poll(event, "barrier", shards_done);
+        // One journal record per persisted generation (gen and rank come
+        // from the trace context): a clean run leaves every rank on record.
+        std::uint64_t persisted = 0;
+        for (const ShardReport& report : reports) {
+            persisted += report.failed ? 0 : report.bytes;
+        }
+        obs::EventJournal::Instance().Append({.kind = obs::EventKind::kPersist,
+                                              .iteration = event,
+                                              .bytes = persisted});
         participant.SendDone(begin->iteration, std::move(reports), ok, ctx);
         obs::SetRankActivity("", ctx.generation, begin->iteration);
         telemetry.PublishNow();

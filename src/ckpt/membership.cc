@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/export.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "util/json.h"
@@ -330,26 +329,22 @@ MembershipTable::size() const {
 std::string
 MembershipTable::ToJson() const {
     std::lock_guard<std::mutex> lock(mu_);
-    std::ostringstream out;
-    out << "{\"schema\": \"moc-membership/1\", \"version\": " << version_
-        << ", \"members\": [";
-    bool first = true;
+    json::Writer w;
+    w.BeginObject().Field("schema", "moc-membership/1")
+        .Field("version", version_)
+        .Key("members").BeginArray();
     for (const auto& [rank, member] : members_) {
-        if (!first) {
-            out << ", ";
-        }
-        first = false;
-        out << "{\"rank\": " << rank << ", \"state\": \""
-            << MemberStateName(member.state) << "\", \"epoch\": "
-            << member.epoch << ", \"incarnation\": " << member.incarnation;
+        w.BeginObject().Field("rank", rank)
+            .Field("state", MemberStateName(member.state))
+            .Field("epoch", member.epoch)
+            .Field("incarnation", member.incarnation);
         if (!member.death_cause.empty()) {
-            out << ", \"death_cause\": \"" << obs::JsonEscape(member.death_cause)
-                << "\"";
+            w.Field("death_cause", member.death_cause);
         }
-        out << "}";
+        w.EndObject();
     }
-    out << "]}";
-    return out.str();
+    w.EndArray().EndObject();
+    return w.Take();
 }
 
 }  // namespace moc::ckpt

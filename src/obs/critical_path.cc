@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <stdexcept>
 
@@ -11,6 +12,20 @@
 namespace moc::obs {
 
 namespace {
+
+/**
+ * Nanoseconds as fractional microseconds with full precision. A shortest
+ * double would round large steady-clock stamps, destroying span ordering
+ * for trace round-trips.
+ */
+std::string
+TraceMicros(std::uint64_t ns) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%llu.%03u",
+                  static_cast<unsigned long long>(ns / 1000),
+                  static_cast<unsigned>(ns % 1000));
+    return buf;
+}
 
 /** Latest-ending span in @p spans matching @p pred, or nullptr. */
 template <typename Pred>
@@ -221,6 +236,30 @@ ParseChromeTraceJson(const std::string& text) {
         spans.push_back(std::move(s));
     }
     return spans;
+}
+
+void
+WriteChromeSpan(json::Writer& w, const FlightSpan& span, std::uint64_t pid,
+                std::uint64_t ts_ns) {
+    w.BeginObject().Field("name", span.name).Field("cat", span.category)
+        .Field("ph", "X")
+        .Key("ts").Raw(TraceMicros(ts_ns))
+        .Key("dur").Raw(TraceMicros(span.duration_ns)).Field("pid", pid)
+        .Field("tid", span.tid);
+    if (span.generation != 0 || span.rank >= 0 || !span.phase.empty()) {
+        w.Key("args").BeginObject().Field("gen", span.generation)
+            .Field("iter", span.iteration).Field("rank", span.rank)
+            .Field("phase", span.phase).EndObject();
+    }
+    w.EndObject();
+}
+
+void
+WriteChromeLaneName(json::Writer& w, std::uint64_t pid,
+                    std::string_view name) {
+    w.BeginObject().Field("name", "process_name").Field("ph", "M")
+        .Field("pid", pid)
+        .Key("args").BeginObject().Field("name", name).EndObject().EndObject();
 }
 
 FlightAnalysis

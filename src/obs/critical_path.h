@@ -28,7 +28,12 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
+
+namespace moc::json {
+class Writer;
+}
 
 namespace moc::obs {
 
@@ -60,6 +65,21 @@ std::vector<FlightSpan> CollectFlightSpans();
  *         array.
  */
 std::vector<FlightSpan> ParseChromeTraceJson(const std::string& text);
+
+/**
+ * Appends @p span to an open `traceEvents` array as one Chrome complete
+ * event on lane @p pid, starting at @p ts_ns (the caller's rebased clock).
+ * `ts`/`dur` are fixed-point microseconds with nanosecond digits, so large
+ * steady-clock stamps keep their ordering; the checkpoint context rides in
+ * `args` when the span has one. Every Chrome trace written here goes
+ * through this encoder, and ParseChromeTraceJson reads it back.
+ */
+void WriteChromeSpan(json::Writer& w, const FlightSpan& span,
+                     std::uint64_t pid, std::uint64_t ts_ns);
+
+/** Appends the Chrome metadata event that names lane @p pid. */
+void WriteChromeLaneName(json::Writer& w, std::uint64_t pid,
+                         std::string_view name);
 
 /** One segment of a generation's critical path, in causal order. */
 struct CriticalSegment {

@@ -3,69 +3,22 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
 #include <unistd.h>
 
+#include "obs/critical_path.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/run_meta.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace moc::obs {
-
-namespace {
-
-/**
- * Nanoseconds as fractional microseconds with full precision. %.9g would
- * round large steady-clock stamps to ~100 µs, destroying span ordering for
- * trace round-trips (obs/critical_path.h).
- */
-std::string
-TraceMicros(std::uint64_t ns) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%llu.%03u",
-                  static_cast<unsigned long long>(ns / 1000),
-                  static_cast<unsigned>(ns % 1000));
-    return buf;
-}
-
-}  // namespace
-
-std::string
-JsonEscape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
-std::string
-JsonNumber(double value) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-    return buf;
-}
 
 bool
 WriteTextFile(const std::string& path, const std::string& content,
@@ -103,59 +56,50 @@ WriteTextFile(const std::string& path, const std::string& content,
 std::string
 MetricsJson() {
     const MetricsSnapshot snap = MetricsRegistry::Instance().Snapshot();
-    std::ostringstream out;
-    out << "{\n  \"meta\": {" << RunMetaJsonFields() << "},\n  \"counters\": {";
-    bool first = true;
+    json::Writer w;
+    w.BeginObject().Key("meta").BeginObject();
+    WriteRunMetaFields(w);
+    w.EndObject().Key("counters").BeginObject();
     for (const auto& [name, value] : snap.counters) {
-        out << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
-            << "\": " << value;
-        first = false;
+        w.Field(name, value);
     }
-    out << (snap.counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
-    first = true;
+    w.EndObject().Key("gauges").BeginObject();
     for (const auto& [name, value] : snap.gauges) {
-        out << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
-            << "\": " << JsonNumber(value);
-        first = false;
+        w.Field(name, value);
     }
-    out << (snap.gauges.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
-    first = true;
+    w.EndObject().Key("histograms").BeginObject();
     for (const auto& [name, data] : snap.histograms) {
-        out << (first ? "" : ",") << "\n    \"" << JsonEscape(name) << "\": {"
-            << "\"count\": " << data.count << ", \"sum\": "
-            << JsonNumber(data.sum) << ", \"mean\": "
-            << JsonNumber(data.count > 0
-                              ? data.sum / static_cast<double>(data.count)
-                              : 0.0)
-            << ", \"buckets\": [";
+        w.Key(name).BeginObject().Field("count", data.count)
+            .Field("sum", data.sum)
+            .Field("mean", data.count > 0
+                               ? data.sum / static_cast<double>(data.count)
+                               : 0.0)
+            .Key("buckets").BeginArray();
         for (std::size_t i = 0; i < data.bucket_counts.size(); ++i) {
-            const std::string le = i < data.bounds.size()
-                                       ? JsonNumber(data.bounds[i])
-                                       : std::string("\"+inf\"");
-            out << (i == 0 ? "" : ", ") << "{\"le\": " << le
-                << ", \"count\": " << data.bucket_counts[i] << "}";
+            w.BeginObject().Key("le");
+            if (i < data.bounds.size()) {
+                w.Put(data.bounds[i]);
+            } else {
+                w.Put("+inf");
+            }
+            w.Field("count", data.bucket_counts[i]).EndObject();
         }
-        out << "]}";
-        first = false;
+        w.EndArray().EndObject();
     }
-    out << (snap.histograms.empty() ? "" : "\n  ") << "},\n  \"experts\": [";
-    first = true;
+    w.EndObject().Key("experts").BeginArray();
     for (const ExpertStat& cell : snap.experts) {
-        out << (first ? "" : ",") << "\n    {\"layer\": " << cell.layer
-            << ", \"expert\": " << cell.expert
-            << ", \"last_snapshot_iteration\": " << cell.last_snapshot_iteration
-            << ", \"last_persist_iteration\": " << cell.last_persist_iteration
-            << ", \"snapshot_staleness\": " << cell.snapshot_staleness
-            << ", \"persist_staleness\": " << cell.persist_staleness
-            << ", \"snapshots\": " << cell.snapshots
-            << ", \"persists\": " << cell.persists
-            << ", \"snapshot_bytes\": " << cell.snapshot_bytes
-            << ", \"persist_bytes\": " << cell.persist_bytes
-            << ", \"lost_tokens\": " << cell.lost_tokens << "}";
-        first = false;
+        w.BeginObject().Field("layer", cell.layer).Field("expert", cell.expert)
+            .Field("last_snapshot_iteration", cell.last_snapshot_iteration)
+            .Field("last_persist_iteration", cell.last_persist_iteration)
+            .Field("snapshot_staleness", cell.snapshot_staleness)
+            .Field("persist_staleness", cell.persist_staleness)
+            .Field("snapshots", cell.snapshots).Field("persists", cell.persists)
+            .Field("snapshot_bytes", cell.snapshot_bytes)
+            .Field("persist_bytes", cell.persist_bytes)
+            .Field("lost_tokens", cell.lost_tokens).EndObject();
     }
-    out << (snap.experts.empty() ? "" : "\n  ") << "]\n}\n";
-    return out.str();
+    w.EndArray().EndObject().EndLine();
+    return w.Take();
 }
 
 bool
@@ -165,31 +109,15 @@ WriteMetricsJson(const std::string& path) {
 
 std::string
 ChromeTraceJson() {
-    const auto events = Tracer::Instance().Collect();
-    std::ostringstream out;
-    out << "{\"metadata\": {" << RunMetaJsonFields() << "},\n\"traceEvents\": [";
-    bool first = true;
-    for (const TraceEvent& event : events) {
-        out << (first ? "" : ",") << "\n  {\"name\": \""
-            << JsonEscape(event.name) << "\", \"cat\": \""
-            << JsonEscape(event.category) << "\", \"ph\": \"X\", \"ts\": "
-            << TraceMicros(event.start_ns) << ", \"dur\": "
-            << TraceMicros(event.duration_ns)
-            << ", \"pid\": 1, \"tid\": " << event.tid;
-        // Checkpoint-event identity rides in "args" so chrome://tracing
-        // shows it per-span and moc_cli trace can re-assemble generations.
-        if (event.generation != 0 || event.rank >= 0 ||
-            event.phase[0] != '\0') {
-            out << ", \"args\": {\"gen\": " << event.generation
-                << ", \"iter\": " << event.iteration
-                << ", \"rank\": " << event.rank << ", \"phase\": \""
-                << JsonEscape(event.phase) << "\"}";
-        }
-        out << "}";
-        first = false;
+    json::Writer w;
+    w.BeginObject().Key("metadata").BeginObject();
+    WriteRunMetaFields(w);
+    w.EndObject().Key("traceEvents").BeginArray();
+    for (const FlightSpan& span : CollectFlightSpans()) {
+        WriteChromeSpan(w, span, 1, span.start_ns);
     }
-    out << (events.empty() ? "" : "\n") << "], \"displayTimeUnit\": \"ms\"}\n";
-    return out.str();
+    w.EndArray().Field("displayTimeUnit", "ms").EndObject().EndLine();
+    return w.Take();
 }
 
 bool

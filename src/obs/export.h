@@ -23,12 +23,6 @@
 
 namespace moc::obs {
 
-/** JSON string-escapes @p s (quotes, backslash, control characters). */
-std::string JsonEscape(const std::string& s);
-
-/** Shortest round-trippable decimal of @p value (%.9g). */
-std::string JsonNumber(double value);
-
 /**
  * Writes @p content to @p path, creating parent directories; @p what names
  * the artifact in the warning log on failure. The bytes go to
@@ -39,7 +33,7 @@ std::string JsonNumber(double value);
 bool WriteTextFile(const std::string& path, const std::string& content,
                    const char* what);
 
-/** The full registry as a pretty-printed JSON object. */
+/** The full registry as one JSON object (run metadata first). */
 std::string MetricsJson();
 
 /**

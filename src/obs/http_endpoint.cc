@@ -16,10 +16,10 @@
 #include <stdexcept>
 
 #include "obs/cluster_view.h"
-#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/timeseries.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace moc::obs {
@@ -110,19 +110,15 @@ QueryLast(const std::string& query) {
 
 /** One row of the health table as a `moc-ranks/1` JSON object. */
 void
-AppendRankJson(std::ostringstream& out,
-               const ClusterAggregator::RankHealth& row) {
-    out << "{\"rank\": " << row.rank << ", \"alive\": "
-        << (row.alive ? "true" : "false") << ", \"death_cause\": \""
-        << JsonEscape(row.death_cause) << "\", \"phase\": \""
-        << JsonEscape(row.phase.empty() ? "idle" : row.phase)
-        << "\", \"generation\": " << row.generation << ", \"iteration\": "
-        << row.iteration << ", \"elapsed_in_phase_s\": "
-        << JsonNumber(row.elapsed_in_phase_s) << ", \"cluster_median_s\": "
-        << JsonNumber(row.cluster_median_s) << ", \"slack_s\": "
-        << JsonNumber(row.slack_s) << ", \"straggler\": "
-        << (row.straggler ? "true" : "false") << ", \"samples\": "
-        << row.samples << "}";
+WriteRank(json::Writer& w, const ClusterAggregator::RankHealth& row) {
+    w.BeginObject().Field("rank", row.rank).Field("alive", row.alive)
+        .Field("death_cause", row.death_cause)
+        .Field("phase", row.phase.empty() ? "idle" : row.phase)
+        .Field("generation", row.generation).Field("iteration", row.iteration)
+        .Field("elapsed_in_phase_s", row.elapsed_in_phase_s)
+        .Field("cluster_median_s", row.cluster_median_s)
+        .Field("slack_s", row.slack_s).Field("straggler", row.straggler)
+        .Field("samples", row.samples).EndObject();
 }
 
 }  // namespace
@@ -141,33 +137,33 @@ HandleHealthz() {
     std::uint64_t alive = 0;
     std::uint64_t straggling = 0;
     std::uint64_t max_iteration = 0;
-    std::ostringstream dead;
-    std::size_t dead_count = 0;
     for (const auto& row : health) {
         alive += row.alive ? 1 : 0;
         straggling += row.straggler ? 1 : 0;
         max_iteration = std::max(max_iteration, row.iteration);
-        if (!row.alive) {
-            dead << (dead_count++ == 0 ? "" : ", ") << "{\"rank\": "
-                 << row.rank << ", \"cause\": \""
-                 << JsonEscape(row.death_cause) << "\"}";
-        }
     }
     // An empty view is a single-process (or not-yet-reporting) run: alive
     // by definition — liveness of the process itself is proven by the 200.
-    const bool healthy = dead_count == 0;
+    const bool healthy = alive == health.size();
     HttpResponse response;
     response.status = healthy ? 200 : 503;
     response.content_type = "application/json";
-    std::ostringstream body;
-    body << "{\"schema\": \"moc-health/1\", \"healthy\": "
-         << (healthy ? "true" : "false") << ", \"ranks\": " << health.size()
-         << ", \"alive\": " << alive << ", \"dead\": [" << dead.str()
-         << "], \"stragglers\": " << straggling << ", \"iteration\": "
-         << max_iteration << ", \"telemetry_samples\": "
-         << ClusterAggregator::Instance().samples() << ", \"series_points\": "
-         << TimeSeriesRing::Instance().total() << "}\n";
-    response.body = body.str();
+    json::Writer w;
+    w.BeginObject().Field("schema", "moc-health/1").Field("healthy", healthy)
+        .Field("ranks", health.size()).Field("alive", alive)
+        .Key("dead").BeginArray();
+    for (const auto& row : health) {
+        if (!row.alive) {
+            w.BeginObject().Field("rank", row.rank)
+                .Field("cause", row.death_cause).EndObject();
+        }
+    }
+    w.EndArray().Field("stragglers", straggling)
+        .Field("iteration", max_iteration)
+        .Field("telemetry_samples", ClusterAggregator::Instance().samples())
+        .Field("series_points", TimeSeriesRing::Instance().total()).EndObject()
+        .EndLine();
+    response.body = w.Take();
     return response;
 }
 
@@ -176,16 +172,14 @@ HandleRanks() {
     const auto health = ClusterAggregator::Instance().Health();
     HttpResponse response;
     response.content_type = "application/json";
-    std::ostringstream body;
-    body << "{\"schema\": \"moc-ranks/1\", \"ranks\": [";
-    for (std::size_t i = 0; i < health.size(); ++i) {
-        if (i > 0) {
-            body << ", ";
-        }
-        AppendRankJson(body, health[i]);
+    json::Writer w;
+    w.BeginObject().Field("schema", "moc-ranks/1")
+        .Key("ranks").BeginArray();
+    for (const auto& row : health) {
+        WriteRank(w, row);
     }
-    body << "]}\n";
-    response.body = body.str();
+    w.EndArray().EndObject().EndLine();
+    response.body = w.Take();
     return response;
 }
 

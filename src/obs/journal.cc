@@ -132,32 +132,53 @@ EventJournal::Clear() {
     dropped_ = 0;
 }
 
+void
+WriteEventJsonl(json::Writer& w, const JournalEvent& e, double t) {
+    w.BeginObject().Field("type", EventKindName(e.kind)).Field("seq", e.seq)
+        .Field("t", t).Field("iter", e.iteration).Field("scope", e.scope)
+        .Field("gen", e.gen).Field("bytes", e.bytes).Field("plt", e.plt)
+        .Field("k", e.k).Field("detail", e.detail);
+    if (!e.role.empty()) {
+        w.Field("role", e.role);
+    }
+    w.EndObject().EndLine();
+}
+
 std::string
 EventsJsonl() {
     const auto events = EventJournal::Instance().Collect();
-    std::ostringstream out;
-    out << "{\"type\": \"meta\", " << RunMetaJsonFields()
-        << ", \"clock_epoch_ns\": " << JournalEpochNs()
-        << ", \"events\": " << events.size() << "}\n";
+    json::Writer w;
+    w.BeginObject().Field("type", "meta");
+    WriteRunMetaFields(w);
+    w.Field("clock_epoch_ns", JournalEpochNs()).Field("events", events.size())
+        .EndObject().EndLine();
     for (const JournalEvent& e : events) {
-        out << "{\"type\": \"" << EventKindName(e.kind) << "\", \"seq\": "
-            << e.seq << ", \"t\": " << JsonNumber(e.wall_s)
-            << ", \"iter\": " << e.iteration << ", \"scope\": " << e.scope
-            << ", \"gen\": " << e.gen << ", \"bytes\": " << e.bytes
-            << ", \"plt\": " << JsonNumber(e.plt)
-            << ", \"k\": " << e.k << ", \"detail\": \"" << JsonEscape(e.detail)
-            << "\"";
-        if (!e.role.empty()) {
-            out << ", \"role\": \"" << JsonEscape(e.role) << "\"";
-        }
-        out << "}\n";
+        WriteEventJsonl(w, e, e.wall_s);
     }
-    return out.str();
+    return w.Take();
 }
 
 bool
 WriteEventsJsonl(const std::string& path) {
     return WriteTextFile(path, EventsJsonl(), "event journal");
+}
+
+JournalEvent
+ParseEventRecord(const json::Value& record) {
+    JournalEvent e;
+    e.kind = EventKindFromName(record.At("type").AsString());
+    e.seq = static_cast<std::uint64_t>(record.NumberOr("seq", 0.0));
+    e.wall_s = record.NumberOr("t", 0.0);
+    e.iteration = static_cast<std::uint64_t>(record.NumberOr("iter", 0.0));
+    e.scope = static_cast<std::int64_t>(
+        record.NumberOr("scope", static_cast<double>(kGlobalScope)));
+    e.gen = static_cast<std::uint64_t>(record.NumberOr("gen", 0.0));
+    e.bytes = static_cast<std::uint64_t>(record.NumberOr("bytes", 0.0));
+    e.plt = record.NumberOr("plt", -1.0);
+    e.k = static_cast<std::uint64_t>(record.NumberOr("k", 0.0));
+    e.detail = record.StringOr("detail", "");
+    e.role = record.StringOr("role", "");
+    return e;
 }
 
 std::vector<JournalEvent>
@@ -178,24 +199,10 @@ ParseEventsJsonl(const std::string& text) {
             throw std::invalid_argument("events line " + std::to_string(lineno) +
                                         ": " + e.what());
         }
-        const std::string type = record.At("type").AsString();
-        if (type == "meta") {
+        if (record.At("type").AsString() == "meta") {
             continue;
         }
-        JournalEvent e;
-        e.kind = EventKindFromName(type);
-        e.seq = static_cast<std::uint64_t>(record.NumberOr("seq", 0.0));
-        e.wall_s = record.NumberOr("t", 0.0);
-        e.iteration = static_cast<std::uint64_t>(record.NumberOr("iter", 0.0));
-        e.scope = static_cast<std::int64_t>(
-            record.NumberOr("scope", static_cast<double>(kGlobalScope)));
-        e.gen = static_cast<std::uint64_t>(record.NumberOr("gen", 0.0));
-        e.bytes = static_cast<std::uint64_t>(record.NumberOr("bytes", 0.0));
-        e.plt = record.NumberOr("plt", -1.0);
-        e.k = static_cast<std::uint64_t>(record.NumberOr("k", 0.0));
-        e.detail = record.StringOr("detail", "");
-        e.role = record.StringOr("role", "");
-        events.push_back(std::move(e));
+        events.push_back(ParseEventRecord(record));
     }
     return events;
 }

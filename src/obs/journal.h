@@ -25,6 +25,11 @@
 #include <string>
 #include <vector>
 
+namespace moc::json {
+class Value;
+class Writer;
+}  // namespace moc::json
+
 namespace moc::obs {
 
 /** The typed event vocabulary (docs/OBSERVABILITY.md catalogues each). */
@@ -99,7 +104,7 @@ struct JournalEvent {
         designated-initializer call sites warning-free. */
     std::string role{};
     /** Free-form context: store key, failed node list, ... */
-    std::string detail;
+    std::string detail{};
 };
 
 /**
@@ -153,6 +158,19 @@ std::uint64_t JournalEpochNs();
  * (`"type": "meta"`), then one record per event in append order.
  */
 std::string EventsJsonl();
+
+/**
+ * Appends @p e to @p w as one JSONL record stamped `"t": @p t`: `type`
+ * first, `role` only when set. The one journal-event encoder, shared by
+ * EventsJsonl() and the merged cluster journal (obs/merge.h).
+ */
+void WriteEventJsonl(json::Writer& w, const JournalEvent& e, double t);
+
+/**
+ * Decodes one non-meta journal record; absent fields keep their defaults.
+ * @throws std::invalid_argument on a missing or unknown `type`.
+ */
+JournalEvent ParseEventRecord(const json::Value& record);
 
 /** Writes EventsJsonl() to @p path, creating parent directories. */
 bool WriteEventsJsonl(const std::string& path);

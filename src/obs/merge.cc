@@ -2,29 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/export.h"
-#include "obs/run_meta.h"
 #include "util/json.h"
 
 namespace moc::obs {
-
-namespace {
-
-/** Fractional microseconds with nanosecond digits (see obs/export.cc). */
-std::string
-TraceMicros(std::uint64_t ns) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%llu.%03u",
-                  static_cast<unsigned long long>(ns / 1000),
-                  static_cast<unsigned>(ns % 1000));
-    return buf;
-}
-
-}  // namespace
 
 std::string
 RoleFromFilename(const std::string& path) {
@@ -57,14 +40,7 @@ ParseRoleEventsJsonl(const std::string& text,
             ++out.skipped_lines;
             continue;
         }
-        std::string type;
-        try {
-            type = record.At("type").AsString();
-        } catch (const std::invalid_argument&) {
-            ++out.skipped_lines;
-            continue;
-        }
-        if (type == "meta") {
+        if (record.StringOr("type", "") == "meta") {
             out.has_meta = true;
             const std::string meta_role = record.StringOr("role", "");
             if (!meta_role.empty()) {
@@ -76,26 +52,11 @@ ParseRoleEventsJsonl(const std::string& text,
                 record.NumberOr("clock_epoch_ns", 0.0));
             continue;
         }
-        JournalEvent e;
         try {
-            e.kind = EventKindFromName(type);
+            out.events.push_back(ParseEventRecord(record));
         } catch (const std::invalid_argument&) {
             ++out.skipped_lines;
-            continue;
         }
-        e.seq = static_cast<std::uint64_t>(record.NumberOr("seq", 0.0));
-        e.wall_s = record.NumberOr("t", 0.0);
-        e.iteration =
-            static_cast<std::uint64_t>(record.NumberOr("iter", 0.0));
-        e.scope = static_cast<std::int64_t>(
-            record.NumberOr("scope", static_cast<double>(kGlobalScope)));
-        e.gen = static_cast<std::uint64_t>(record.NumberOr("gen", 0.0));
-        e.bytes = static_cast<std::uint64_t>(record.NumberOr("bytes", 0.0));
-        e.plt = record.NumberOr("plt", -1.0);
-        e.k = static_cast<std::uint64_t>(record.NumberOr("k", 0.0));
-        e.detail = record.StringOr("detail", "");
-        e.role = record.StringOr("role", "");
-        out.events.push_back(std::move(e));
     }
     return out;
 }
@@ -138,24 +99,17 @@ MergeRoleEvents(const std::vector<RoleEvents>& inputs) {
 
 std::string
 ClusterEventsJsonl(const MergedEvents& merged) {
-    std::ostringstream out;
-    out << "{\"type\": \"meta\", \"schema\": \"moc-cluster/1\", \"roles\": "
-        << merged.roles << ", \"skipped_lines\": " << merged.skipped_lines
-        << ", \"base_ns\": " << merged.base_ns
-        << ", \"events\": " << merged.events.size() << "}\n";
+    json::Writer w;
+    w.BeginObject().Field("type", "meta").Field("schema", "moc-cluster/1")
+        .Field("roles", merged.roles)
+        .Field("skipped_lines", merged.skipped_lines)
+        .Field("base_ns", merged.base_ns).Field("events", merged.events.size())
+        .EndObject().EndLine();
     for (const ClusterEvent& ce : merged.events) {
-        const JournalEvent& e = ce.event;
-        const double t =
-            static_cast<double>(ce.abs_ns - merged.base_ns) / 1e9;
-        out << "{\"type\": \"" << EventKindName(e.kind) << "\", \"seq\": "
-            << e.seq << ", \"t\": " << JsonNumber(t)
-            << ", \"iter\": " << e.iteration << ", \"scope\": " << e.scope
-            << ", \"gen\": " << e.gen << ", \"bytes\": " << e.bytes
-            << ", \"plt\": " << JsonNumber(e.plt) << ", \"k\": " << e.k
-            << ", \"detail\": \"" << JsonEscape(e.detail)
-            << "\", \"role\": \"" << JsonEscape(e.role) << "\"}\n";
+        WriteEventJsonl(w, ce.event,
+                        static_cast<double>(ce.abs_ns - merged.base_ns) / 1e9);
     }
-    return out.str();
+    return w.Take();
 }
 
 RoleSpans
@@ -206,74 +160,47 @@ MergedChromeTraceJson(const std::vector<RoleSpans>& inputs) {
             }
         }
     }
-    std::ostringstream out;
-    out << "{\"metadata\": {\"schema\": \"moc-cluster/1\", \"roles\": "
-        << inputs.size() << ", \"base_ns\": " << base
-        << "},\n\"traceEvents\": [";
-    bool first = true;
+    json::Writer w;
+    w.BeginObject().Key("metadata").BeginObject()
+        .Field("schema", "moc-cluster/1").Field("roles", inputs.size())
+        .Field("base_ns", base).EndObject()
+        .Key("traceEvents").BeginArray();
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         const RoleSpans& input = inputs[i];
         const std::uint64_t pid = i + 1;
-        out << (first ? "" : ",") << "\n  {\"name\": \"process_name\", "
-            << "\"ph\": \"M\", \"pid\": " << pid
-            << ", \"args\": {\"name\": \"" << JsonEscape(input.role)
-            << "\"}}";
-        first = false;
+        WriteChromeLaneName(w, pid, input.role);
         for (const FlightSpan& span : input.spans) {
-            const std::int64_t abs =
-                static_cast<std::int64_t>(span.start_ns) +
-                input.clock_offset_ns - base;
-            out << ",\n  {\"name\": \"" << JsonEscape(span.name)
-                << "\", \"cat\": \"" << JsonEscape(span.category)
-                << "\", \"ph\": \"X\", \"ts\": "
-                << TraceMicros(static_cast<std::uint64_t>(
-                       abs < 0 ? 0 : abs))
-                << ", \"dur\": " << TraceMicros(span.duration_ns)
-                << ", \"pid\": " << pid << ", \"tid\": " << span.tid;
-            if (span.generation != 0 || span.rank >= 0 ||
-                !span.phase.empty()) {
-                out << ", \"args\": {\"gen\": " << span.generation
-                    << ", \"iter\": " << span.iteration
-                    << ", \"rank\": " << span.rank << ", \"phase\": \""
-                    << JsonEscape(span.phase) << "\"}";
-            }
-            out << "}";
+            const std::int64_t abs = static_cast<std::int64_t>(span.start_ns) +
+                                     input.clock_offset_ns - base;
+            WriteChromeSpan(w, span, pid,
+                            static_cast<std::uint64_t>(abs < 0 ? 0 : abs));
         }
     }
-    out << (first ? "" : "\n") << "], \"displayTimeUnit\": \"ms\"}\n";
-    return out.str();
+    w.EndArray().Field("displayTimeUnit", "ms").EndObject().EndLine();
+    return w.Take();
 }
 
 std::string
 ClusterMetricsJson(
     const std::vector<std::pair<std::string, std::string>>& role_texts,
     std::size_t* skipped) {
-    std::ostringstream out;
-    out << "{\n  \"schema\": \"moc-cluster/1\",\n  \"roles\": {";
-    bool first = true;
+    json::Writer w;
+    w.BeginObject().Field("schema", "moc-cluster/1")
+        .Key("roles").BeginObject();
     std::size_t bad = 0;
     for (const auto& [role, text] : role_texts) {
         try {
-            json::Parse(text);
+            const json::Value doc = json::Parse(text);
+            w.Field(role, doc);
         } catch (const std::invalid_argument&) {
             ++bad;  // a killed process's torn dump: skip, count, continue
-            continue;
         }
-        // Indent the validated document so the merged file stays readable.
-        std::string body = text;
-        while (!body.empty() &&
-               (body.back() == '\n' || body.back() == ' ')) {
-            body.pop_back();
-        }
-        out << (first ? "" : ",") << "\n    \"" << JsonEscape(role)
-            << "\": " << body;
-        first = false;
     }
-    out << (first ? "" : "\n  ") << "}\n}\n";
+    w.EndObject().EndObject().EndLine();
     if (skipped != nullptr) {
         *skipped = bad;
     }
-    return out.str();
+    return w.Take();
 }
 
 }  // namespace moc::obs

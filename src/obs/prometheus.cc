@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/run_meta.h"
 #include "obs/timeseries.h"
+#include "util/json.h"
 
 namespace moc::obs {
 
@@ -77,7 +78,7 @@ MetricsPrometheus() {
     for (const auto& [name, value] : snap.gauges) {
         const std::string prom = PromMetricName(name);
         out << "# TYPE " << prom << " gauge\n"
-            << prom << " " << JsonNumber(value) << "\n";
+            << prom << " " << json::FormatNumber(value) << "\n";
     }
     for (const auto& [name, data] : snap.histograms) {
         const std::string prom = PromMetricName(name);
@@ -86,11 +87,11 @@ MetricsPrometheus() {
         for (std::size_t i = 0; i < data.bucket_counts.size(); ++i) {
             cumulative += data.bucket_counts[i];
             const std::string le = i < data.bounds.size()
-                                       ? JsonNumber(data.bounds[i])
+                                       ? json::FormatNumber(data.bounds[i])
                                        : std::string("+Inf");
             out << prom << "_bucket{le=\"" << le << "\"} " << cumulative << "\n";
         }
-        out << prom << "_sum " << JsonNumber(data.sum) << "\n"
+        out << prom << "_sum " << json::FormatNumber(data.sum) << "\n"
             << prom << "_count " << data.count << "\n";
     }
 
@@ -124,7 +125,7 @@ MetricsPrometheus() {
         out << "# TYPE moc_rank_slack_seconds gauge\n";
         for (const auto& row : health) {
             out << "moc_rank_slack_seconds{rank=\"" << row.rank << "\"} "
-                << JsonNumber(row.slack_s) << "\n";
+                << json::FormatNumber(row.slack_s) << "\n";
         }
         out << "# TYPE moc_rank_alive gauge\n";
         for (const auto& row : health) {
@@ -158,7 +159,7 @@ MetricsPrometheus() {
             << "moc_series_last_iteration " << last.back().iteration << "\n"
             << "# TYPE moc_series_last_iter_seconds gauge\n"
             << "moc_series_last_iter_seconds "
-            << JsonNumber(last.back().iter_seconds) << "\n"
+            << json::FormatNumber(last.back().iter_seconds) << "\n"
             << "# TYPE moc_series_last_live_ranks gauge\n"
             << "moc_series_last_live_ranks " << last.back().live_ranks
             << "\n";

@@ -3,7 +3,7 @@
 #include <atomic>
 #include <sstream>
 
-#include "obs/export.h"
+#include "util/json.h"
 
 #ifndef MOC_BUILD_TYPE
 #define MOC_BUILD_TYPE "unknown"
@@ -62,18 +62,13 @@ ClusterClockOffsetNs() {
     return g_cluster_clock_offset_ns.load(std::memory_order_relaxed);
 }
 
-std::string
-RunMetaJsonFields() {
+void
+WriteRunMetaFields(json::Writer& w) {
     const RunMetadata& meta = RunMeta();
-    std::ostringstream out;
-    out << "\"schema\": \"" << JsonEscape(meta.schema) << "\", \"build_type\": \""
-        << JsonEscape(meta.build_type) << "\", \"git_sha\": \""
-        << JsonEscape(meta.git_sha) << "\", \"command_line\": \""
-        << JsonEscape(meta.command_line) << "\", \"config_digest\": \""
-        << JsonEscape(meta.config_digest) << "\", \"role\": \""
-        << JsonEscape(meta.role) << "\", \"clock_offset_ns\": "
-        << ClusterClockOffsetNs();
-    return out.str();
+    w.Field("schema", meta.schema).Field("build_type", meta.build_type)
+        .Field("git_sha", meta.git_sha).Field("command_line", meta.command_line)
+        .Field("config_digest", meta.config_digest).Field("role", meta.role)
+        .Field("clock_offset_ns", ClusterClockOffsetNs());
 }
 
 }  // namespace moc::obs

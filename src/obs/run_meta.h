@@ -17,6 +17,10 @@
 #include <cstdint>
 #include <string>
 
+namespace moc::json {
+class Writer;
+}
+
 namespace moc::obs {
 
 /** Schema tag stamped into every export this layer writes. */
@@ -64,11 +68,11 @@ void SetClusterClockOffsetNs(std::int64_t offset_ns);
 std::int64_t ClusterClockOffsetNs();
 
 /**
- * RunMeta() as the *members* of a JSON object (no surrounding braces), e.g.
- * `"schema": "moc-obs/1", "build_type": "Release", ...` — splice-ready for
- * the hand-rolled emitters.
+ * Writes RunMeta() and the current clock offset as members of the object
+ * @p w has open: `"schema": "moc-obs/1", "build_type": ..., "role": ...,
+ * "clock_offset_ns": ...`.
  */
-std::string RunMetaJsonFields();
+void WriteRunMetaFields(json::Writer& w);
 
 }  // namespace moc::obs
 

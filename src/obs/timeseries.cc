@@ -1,11 +1,9 @@
 #include "obs/timeseries.h"
 
-#include <sstream>
-
 #include "obs/cluster_view.h"
-#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/json.h"
 
 namespace moc::obs {
 
@@ -13,13 +11,13 @@ namespace {
 
 /** One point as a JSON object (shared by the window and JSONL forms). */
 void
-AppendPointJson(std::ostringstream& out, const IterationPoint& p) {
-    out << "{\"iteration\": " << p.iteration << ", \"t_s\": "
-        << JsonNumber(p.t_s) << ", \"iter_seconds\": "
-        << JsonNumber(p.iter_seconds) << ", \"bytes_persisted\": "
-        << p.bytes_persisted << ", \"bytes_saved\": " << p.bytes_saved
-        << ", \"plt\": " << JsonNumber(p.plt) << ", \"live_ranks\": "
-        << p.live_ranks << ", \"stragglers\": " << p.stragglers << "}";
+WritePoint(json::Writer& w, const IterationPoint& p) {
+    w.BeginObject().Field("iteration", p.iteration).Field("t_s", p.t_s)
+        .Field("iter_seconds", p.iter_seconds)
+        .Field("bytes_persisted", p.bytes_persisted)
+        .Field("bytes_saved", p.bytes_saved).Field("plt", p.plt)
+        .Field("live_ranks", p.live_ranks).Field("stragglers", p.stragglers)
+        .EndObject();
 }
 
 }  // namespace
@@ -69,28 +67,24 @@ TimeSeriesRing::total() const {
 std::string
 TimeSeriesRing::Json(std::size_t last_n) const {
     const std::vector<IterationPoint> window = Window(last_n);
-    std::ostringstream out;
-    out << "{\"schema\": \"moc-series/1\", \"total\": " << total()
-        << ", \"points\": [";
-    for (std::size_t i = 0; i < window.size(); ++i) {
-        if (i > 0) {
-            out << ", ";
-        }
-        AppendPointJson(out, window[i]);
+    json::Writer w;
+    w.BeginObject().Field("schema", "moc-series/1").Field("total", total())
+        .Key("points").BeginArray();
+    for (const IterationPoint& p : window) {
+        WritePoint(w, p);
     }
-    out << "]}\n";
-    return out.str();
+    w.EndArray().EndObject().EndLine();
+    return w.Take();
 }
 
 std::string
 TimeSeriesRing::Jsonl() const {
-    const std::vector<IterationPoint> window = Window(0);
-    std::ostringstream out;
-    for (const IterationPoint& p : window) {
-        AppendPointJson(out, p);
-        out << "\n";
+    json::Writer w;
+    for (const IterationPoint& p : Window(0)) {
+        WritePoint(w, p);
+        w.EndLine();
     }
-    return out.str();
+    return w.Take();
 }
 
 void

@@ -93,7 +93,8 @@ EncodeDelta(const Blob& blob, const std::vector<std::uint32_t>& changed,
         payload += ChunkLen(blob.size(), chunk_bytes, c);
     }
     out.reserve(kHeaderBytes + bitmap_bytes + payload);
-    out.insert(out.end(), kMagic, kMagic + 4);
+    out.resize(4);
+    std::memcpy(out.data(), kMagic, 4);
     PutU32(out, kVersion);
     PutU64(out, blob.size());
     PutU64(out, base_iteration);

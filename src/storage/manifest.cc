@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
-#include "obs/export.h"
 #include "util/json.h"
 #include "util/logging.h"
 
@@ -379,47 +377,38 @@ CheckpointManifest::PrunePersistGenerations(std::size_t keep_generations) {
 std::string
 CheckpointManifest::ToJson() const {
     std::lock_guard<std::mutex> lock(mu_);
-    std::ostringstream out;
-    out << "{\n  \"format\": \"moc-manifest/1\",\n";
+    json::Writer w;
+    w.BeginObject().Field("format", "moc-manifest/1");
     if (persist_complete_.has_value()) {
-        out << "  \"last_complete\": " << *persist_complete_ << ",\n";
+        w.Field("last_complete", *persist_complete_);
     }
-    out << "  \"generations\": [";
-    bool first = true;
+    w.Key("generations").BeginArray();
     for (const auto& [iteration, state] : generations_) {
-        out << (first ? "" : ",") << "\n    {\"iteration\": " << iteration
-            << ", \"sealed\": " << (state.sealed ? "true" : "false")
-            << ", \"corrupt\": " << (state.corrupt ? "true" : "false")
-            << ", \"aborted\": " << (state.aborted ? "true" : "false") << "}";
-        first = false;
+        w.BeginObject().Field("iteration", iteration)
+            .Field("sealed", state.sealed).Field("corrupt", state.corrupt)
+            .Field("aborted", state.aborted).EndObject();
     }
-    out << "\n  ],\n  \"persist\": {";
-    first = true;
+    w.EndArray().Key("persist").BeginObject();
     for (const auto& [key, history] : persist_) {
-        out << (first ? "" : ",") << "\n    \"" << obs::JsonEscape(key)
-            << "\": [";
-        bool first_version = true;
+        w.Key(key).BeginArray();
         for (const auto& v : history) {
-            out << (first_version ? "" : ", ") << "{\"iteration\": "
-                << v.iteration << ", \"bytes\": " << v.bytes << ", \"crc\": "
-                << v.crc << ", \"verified\": " << (v.verified ? "true" : "false")
-                << ", \"corrupt\": " << (v.corrupt ? "true" : "false");
+            w.BeginObject().Field("iteration", v.iteration)
+                .Field("bytes", v.bytes).Field("crc", v.crc)
+                .Field("verified", v.verified).Field("corrupt", v.corrupt);
             if (v.ref.has_value()) {
-                out << ", \"ref\": " << *v.ref;
+                w.Field("ref", *v.ref);
             }
             if (v.delta_base.has_value()) {
-                out << ", \"delta_base\": " << *v.delta_base
-                    << ", \"delta_bytes\": " << v.delta_bytes
-                    << ", \"delta_crc\": " << v.delta_crc;
+                w.Field("delta_base", *v.delta_base)
+                    .Field("delta_bytes", v.delta_bytes)
+                    .Field("delta_crc", v.delta_crc);
             }
-            out << "}";
-            first_version = false;
+            w.EndObject();
         }
-        out << "]";
-        first = false;
+        w.EndArray();
     }
-    out << "\n  }\n}\n";
-    return out.str();
+    w.EndObject().EndObject().EndLine();
+    return w.Take();
 }
 
 void

@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
@@ -402,6 +403,120 @@ class Parser {
 Value
 Parse(std::string_view text) {
     return Parser(text).ParseDocument();
+}
+
+std::string
+FormatNumber(double value) {
+    if (!std::isfinite(value)) {
+        return std::isnan(value) ? "NaN" : value > 0 ? "+Inf" : "-Inf";
+    }
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+void
+Writer::Separate() {
+    if (!after_key_ && !first_) {
+        out_ += ", ";
+    }
+    after_key_ = false;
+    first_ = false;
+}
+
+void
+Writer::Quote(std::string_view s) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    out_ += '"';
+    for (const char c : s) {
+        switch (c) {
+            case '"': out_ += "\\\""; break;
+            case '\\': out_ += "\\\\"; break;
+            case '\n': out_ += "\\n"; break;
+            case '\t': out_ += "\\t"; break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    out_ += "\\u00";
+                    out_ += kHex[(c >> 4) & 0xf];
+                    out_ += kHex[c & 0xf];
+                } else {
+                    out_ += c;
+                }
+        }
+    }
+    out_ += '"';
+}
+
+Writer&
+Writer::Open(char bracket) {
+    Separate();
+    out_ += bracket;
+    first_ = true;
+    return *this;
+}
+
+Writer&
+Writer::Close(char bracket) {
+    out_ += bracket;
+    first_ = false;
+    return *this;
+}
+
+Writer&
+Writer::Key(std::string_view key) {
+    Separate();
+    Quote(key);
+    out_ += ": ";
+    after_key_ = true;
+    return *this;
+}
+
+Writer&
+Writer::Put(std::string_view s) {
+    Separate();
+    Quote(s);
+    return *this;
+}
+
+Writer&
+Writer::Put(double d) {
+    return std::isfinite(d) ? Raw(FormatNumber(d)) : Null();
+}
+
+Writer&
+Writer::Put(const Value& v) {
+    switch (v.kind()) {
+        case Value::Kind::kNull: return Null();
+        case Value::Kind::kBool: return Put(v.AsBool());
+        case Value::Kind::kNumber:
+            if (!v.is_exact_int()) {
+                return Put(v.AsNumber());
+            }
+            return v.AsNumber() < 0 ? Put(v.AsI64()) : Put(v.AsU64());
+        case Value::Kind::kString: return Put(v.AsString());
+        case Value::Kind::kArray: return Put(v.AsArray());
+        case Value::Kind::kObject:
+            BeginObject();
+            for (const auto& [key, member] : v.AsObject()) {
+                Field(key, member);
+            }
+            return EndObject();
+    }
+    return *this;
+}
+
+Writer&
+Writer::Raw(std::string_view token) {
+    Separate();
+    out_ += token;
+    return *this;
+}
+
+Writer&
+Writer::EndLine() {
+    out_ += '\n';
+    first_ = true;
+    after_key_ = false;
+    return *this;
 }
 
 }  // namespace moc::json

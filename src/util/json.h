@@ -3,28 +3,31 @@
 
 /**
  * @file
- * A minimal recursive-descent JSON reader.
+ * JSON for the whole codebase: a minimal recursive-descent reader and the
+ * one writer every JSON document is emitted through (manifests, membership
+ * tables, metrics, traces, journals, CLI reports).
  *
- * The observability layer *writes* JSON with hand-rolled emitters
- * (obs/export.h); this is the matching reader, used by `moc_cli report` to
- * ingest metrics dumps and event journals, and by the exporter round-trip
- * tests. Objects preserve key order via std::map, and parse errors throw
- * std::invalid_argument with an offset-tagged message.
+ * Reader: objects are std::maps (so re-emitted objects come out with
+ * sorted keys), and parse errors throw std::invalid_argument with an
+ * offset-tagged message. Numbers carry two representations: every number
+ * exposes AsNumber() (double), and integer-syntax tokens that fit 64 bits
+ * additionally keep their exact value. Iterations, byte counts, and
+ * incarnations round-trip through AsU64()/AsI64() losslessly even past
+ * 2^53, where the double form silently rounds; the exact accessors throw
+ * on a number that was never exactly representable instead of rounding it.
  *
- * Numbers carry two representations: every number exposes AsNumber()
- * (double), and integer-syntax tokens that fit 64 bits additionally keep
- * their exact value. Iterations, byte counts, and incarnations round-trip
- * through AsU64()/AsI64() losslessly even past 2^53, where the double form
- * silently rounds; the exact accessors throw on a number that was never
- * exactly representable instead of rounding it.
+ * Writer: one layout, `": "` after a key and `", "` between members and
+ * elements; integers exact, doubles in their shortest round-trip form.
  */
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace moc::json {
@@ -128,6 +131,80 @@ inline constexpr std::size_t kMaxDepth = 256;
  *         deeper than kMaxDepth.
  */
 Value Parse(std::string_view text);
+
+/**
+ * The shortest decimal that reads back as exactly @p value (std::to_chars);
+ * integral values print without a fraction ("3", not "3.0"). Non-finite
+ * values, which JSON cannot spell, come out as the Prometheus text tokens
+ * "NaN", "+Inf" and "-Inf"; Writer emits null for them instead.
+ */
+std::string FormatNumber(double value);
+
+/**
+ * Streaming JSON writer. Put() is overloaded for strings, bools, integers
+ * (exact, any width and sign), doubles (FormatNumber; non-finite as null),
+ * parsed Values (exact integers stay exact) and vectors of those; Field()
+ * is Key() plus Put(). Strings escape quote, backslash and every byte
+ * below 0x20. The writer tracks only comma placement: a caller that closes
+ * what it opens and keys every object member gets a valid document.
+ */
+class Writer {
+  public:
+    Writer& BeginObject() { return Open('{'); }
+    Writer& EndObject() { return Close('}'); }
+    Writer& BeginArray() { return Open('['); }
+    Writer& EndArray() { return Close(']'); }
+    Writer& Key(std::string_view key);
+
+    Writer& Put(std::string_view s);
+    Writer& Put(const char* s) { return Put(std::string_view(s)); }
+    Writer& Put(bool b) { return Raw(b ? "true" : "false"); }
+    Writer& Put(double d);
+    template <typename T, std::enable_if_t<std::is_integral_v<T> &&
+                                               !std::is_same_v<T, bool>,
+                                           int> = 0>
+    Writer& Put(T n) {
+        char buf[24];
+        return Raw({buf, static_cast<std::size_t>(
+                             std::to_chars(buf, buf + sizeof(buf), n).ptr -
+                             buf)});
+    }
+    Writer& Put(const Value& v);
+    template <typename T>
+    Writer& Put(const std::vector<T>& items) {
+        BeginArray();
+        for (const T& item : items) {
+            Put(item);
+        }
+        return EndArray();
+    }
+    Writer& Null() { return Raw("null"); }
+    /** A scalar token written verbatim, e.g. a number the caller formatted. */
+    Writer& Raw(std::string_view token);
+
+    template <typename T>
+    Writer& Field(std::string_view key, const T& value) {
+        Key(key);
+        return Put(value);
+    }
+
+    /** Ends one JSONL record with '\n'; the next value starts a new one. */
+    Writer& EndLine();
+
+    const std::string& str() const { return out_; }
+    std::string Take() { return std::move(out_); }
+
+  private:
+    Writer& Open(char bracket);
+    Writer& Close(char bracket);
+    /** ", " unless the next value is first in its container or keyed. */
+    void Separate();
+    void Quote(std::string_view s);
+
+    std::string out_;
+    bool first_ = true;
+    bool after_key_ = false;
+};
 
 }  // namespace moc::json
 

@@ -13,8 +13,10 @@
 #include "core/moc_system.h"
 #include "core/cold_start.h"
 #include "nn/model.h"
+#include "obs/http_endpoint.h"
 #include "storage/file_store.h"
 #include "util/crc32.h"
+#include "util/json.h"
 
 namespace moc {
 namespace {
@@ -345,6 +347,41 @@ TEST(Cli, FsckAllExtraStateCopiesGoneIsFatal) {
     EXPECT_EQ(Main({"fsck", dir.string()}, out, err), 2) << out.str();
     EXPECT_NE(out.str().find("FATAL"), std::string::npos) << out.str();
     std::filesystem::remove_all(dir);
+}
+
+TEST(Cli, WatchJsonEscapesTheUrlWhenUnreachable) {
+    // Port 1 on loopback refuses the connection; the quote in the path must
+    // not break the moc-watch/1 document.
+    const std::string url = "http://127.0.0.1:1/\"x";
+    std::ostringstream out, err;
+    EXPECT_EQ(Main({"watch", "--url", url, "--once", "1", "--watch-json", "1"},
+                   out, err),
+              2);
+    const json::Value doc = json::Parse(out.str());
+    EXPECT_EQ(doc.At("schema").AsString(), "moc-watch/1");
+    EXPECT_EQ(doc.At("url").AsString(), url);
+    EXPECT_FALSE(doc.At("reachable").AsBool());
+}
+
+TEST(Cli, WatchJsonEmbedsAnUnparsableBodyAsNull) {
+    obs::HttpEndpoint endpoint;
+    endpoint.SetRoute("/ranks", [](const std::string&, const std::string&) {
+        obs::HttpResponse response;
+        response.body = "not json\", {[";
+        return response;
+    });
+    endpoint.Start();
+    const std::string url =
+        "http://127.0.0.1:" + std::to_string(endpoint.port());
+    std::ostringstream out, err;
+    Main({"watch", "--url", url, "--once", "1", "--watch-json", "1"}, out,
+         err);
+    endpoint.Stop();
+    const json::Value doc = json::Parse(out.str());
+    EXPECT_TRUE(doc.At("reachable").AsBool());
+    EXPECT_TRUE(doc.At("ranks").is_null());
+    EXPECT_EQ(doc.At("healthz").At("schema").AsString(), "moc-health/1");
+    EXPECT_EQ(doc.At("series").At("schema").AsString(), "moc-series/1");
 }
 
 }  // namespace

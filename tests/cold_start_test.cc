@@ -15,6 +15,7 @@
 #include "storage/file_store.h"
 #include "storage/memory_store.h"
 #include "storage/store_error.h"
+#include "util/json.h"
 
 namespace moc {
 namespace {
@@ -84,15 +85,15 @@ TEST(ColdStart, RejectsNonCheckpointStore) {
 void
 ForgetUnit(ObjectStore& store, const std::string& unit) {
     const Blob blob = *store.Get(kManifestKey);
-    std::string doc(blob.begin(), blob.end());
-    // ToJson writes each history on one line, after a separating comma.
-    const std::string entry = ",\n    \"" + unit + "\": [";
-    const auto begin = doc.find(entry);
-    ASSERT_NE(begin, std::string::npos) << doc;
-    const auto end = doc.find(']', begin + entry.size());
-    ASSERT_NE(end, std::string::npos) << doc;
-    doc.erase(begin, end + 1 - begin);
-    store.Put(kManifestKey, Blob(doc.begin(), doc.end()));
+    json::Object doc =
+        json::Parse(std::string(blob.begin(), blob.end())).AsObject();
+    json::Object persist = doc.at("persist").AsObject();
+    ASSERT_EQ(persist.erase(unit), 1U);
+    doc["persist"] = json::Value(std::move(persist));
+    json::Writer w;
+    w.Put(json::Value(std::move(doc)));
+    const std::string& text = w.str();
+    store.Put(kManifestKey, Blob(text.begin(), text.end()));
 }
 
 TEST(ColdStart, ReportsMissingUnits) {

@@ -158,9 +158,11 @@ TEST(FaultyStore, SameSeedSameFaultSequence) {
         store.Arm(profile);
         std::string trace;
         for (int i = 0; i < 64; ++i) {
+            std::string key = "k";
+            key += std::to_string(i);
             try {
-                store.Put("k" + std::to_string(i), Pattern(32));
-                const auto blob = base.Get("k" + std::to_string(i));
+                store.Put(key, Pattern(32));
+                const auto blob = base.Get(key);
                 trace += blob && blob->size() == 32 ? 'o' : 't';
             } catch (const StoreError&) {
                 trace += 'x';

@@ -93,8 +93,8 @@ INSTANTIATE_TEST_SUITE_P(
                       BlockShape{8, 1, 8, 6, true, 8, 2, true}),
     [](const auto& info) {
         const BlockShape& p = info.param;
-        return "h" + std::to_string(p.hidden) + "n" + std::to_string(p.heads) +
-               "s" + std::to_string(p.seq) +
+        return std::string("h") + std::to_string(p.hidden) + "n" +
+               std::to_string(p.heads) + "s" + std::to_string(p.seq) +
                (p.moe ? "moe" + std::to_string(p.experts) + "k" +
                             std::to_string(p.top_k)
                       : std::string("dense")) +

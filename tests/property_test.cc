@@ -83,8 +83,8 @@ INSTANTIATE_TEST_SUITE_P(
                       NkParam{16, 4}, NkParam{16, 7}, NkParam{16, 16},
                       NkParam{64, 8}, NkParam{64, 13}),
     [](const auto& info) {
-        return "N" + std::to_string(std::get<0>(info.param)) + "K" +
-               std::to_string(std::get<1>(info.param));
+        return std::string("N") + std::to_string(std::get<0>(info.param)) +
+               "K" + std::to_string(std::get<1>(info.param));
     });
 
 // ---------- Sharding properties across the topology grid ----------

@@ -47,9 +47,13 @@ MachineSection(const std::string& output) {
     return json::Parse(output.substr(marker + std::string(kMachineMarker).size()));
 }
 
+/** One directory per test: ctest runs the Report tests as parallel processes. */
 struct TempDir {
     std::filesystem::path path;
-    TempDir() : path(std::filesystem::temp_directory_path() / "moc_report_test") {
+    TempDir()
+        : path(std::filesystem::temp_directory_path() /
+               (std::string("moc_report_test_") +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name())) {
         std::filesystem::remove_all(path);
         std::filesystem::create_directories(path);
     }

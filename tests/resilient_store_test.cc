@@ -62,11 +62,11 @@ TEST(ResilientStore, PutRetriesTransientErrors) {
     flaky.Arm(profile);
     ResilientStore store(flaky, FastPolicy(/*attempts=*/16));
     for (int i = 0; i < 32; ++i) {
-        store.Put("k" + std::to_string(i), Pattern(48));
+        store.Put(std::string("k") + std::to_string(i), Pattern(48));
     }
     flaky.Disarm();
     for (int i = 0; i < 32; ++i) {
-        EXPECT_EQ(*base.Get("k" + std::to_string(i)), Pattern(48));
+        EXPECT_EQ(*base.Get(std::string("k") + std::to_string(i)), Pattern(48));
     }
     EXPECT_GT(flaky.injected().transient_errors, 0u);
 }
@@ -99,11 +99,11 @@ TEST(ResilientStore, WriteVerificationDefeatsSilentWriteFaults) {
     flaky.Arm(profile);
     ResilientStore store(flaky, FastPolicy(/*attempts=*/32));
     for (int i = 0; i < 24; ++i) {
-        store.Put("k" + std::to_string(i), Pattern(96));
+        store.Put(std::string("k") + std::to_string(i), Pattern(96));
     }
     flaky.Disarm();
     for (int i = 0; i < 24; ++i) {
-        EXPECT_EQ(*base.Get("k" + std::to_string(i)), Pattern(96))
+        EXPECT_EQ(*base.Get(std::string("k") + std::to_string(i)), Pattern(96))
             << "silent write fault survived verification on k" << i;
     }
     EXPECT_GT(flaky.injected().Total(), 0u);

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <thread>
@@ -615,6 +616,82 @@ TEST(Json, InexactIntegerConversionsThrowTyped) {
     // Float *syntax* with an integral value stays usable (9e2 has an exact
     // double representation well inside 2^53).
     EXPECT_EQ(json::Parse("9e2").AsU64(), 900U);
+}
+
+/** Writes @p value as a one-value document. */
+template <typename T>
+std::string
+WriteOne(const T& value) {
+    json::Writer w;
+    w.Put(value);
+    return w.Take();
+}
+
+TEST(JsonWriter, DoublesRoundTripBitExactly) {
+    for (const double x : {0.1 + 0.2, 1234567891.0, 1e-300, 0.5, -2.75,
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::denorm_min()}) {
+        const std::string text = WriteOne(x);
+        const double back = json::Parse(text).AsNumber();
+        EXPECT_EQ(std::memcmp(&back, &x, sizeof(x)), 0) << text;
+    }
+    // Integral doubles print as integers: byte counts read back exactly.
+    EXPECT_EQ(WriteOne(1234567891.0), "1234567891");
+    EXPECT_EQ(json::Parse(WriteOne(1234567891.0)).AsU64(), 1234567891U);
+    // JSON has no spelling for non-finite values.
+    EXPECT_EQ(WriteOne(std::numeric_limits<double>::infinity()), "null");
+    EXPECT_EQ(WriteOne(std::nan("")), "null");
+    EXPECT_EQ(json::FormatNumber(-std::numeric_limits<double>::infinity()),
+              "-Inf");
+}
+
+TEST(JsonWriter, IntegersRoundTripExactly) {
+    const std::uint64_t u_max = std::numeric_limits<std::uint64_t>::max();
+    const std::int64_t i_min = std::numeric_limits<std::int64_t>::min();
+    EXPECT_EQ(WriteOne(u_max), "18446744073709551615");
+    EXPECT_EQ(json::Parse(WriteOne(u_max)).AsU64(), u_max);
+    EXPECT_EQ(WriteOne(i_min), "-9223372036854775808");
+    EXPECT_EQ(json::Parse(WriteOne(i_min)).AsI64(), i_min);
+    // A parsed value re-emits its exact integers, not their double image.
+    const json::Value parsed =
+        json::Parse("[18446744073709551615, -9223372036854775808, 0.25]");
+    EXPECT_EQ(WriteOne(parsed),
+              "[18446744073709551615, -9223372036854775808, 0.25]");
+}
+
+TEST(JsonWriter, EveryAsciiByteRoundTrips) {
+    std::string all;
+    for (int c = 0x01; c <= 0x7f; ++c) {
+        all += static_cast<char>(c);
+        EXPECT_EQ(json::Parse(WriteOne(std::string(1, static_cast<char>(c))))
+                      .AsString(),
+                  std::string(1, static_cast<char>(c)))
+            << "byte " << c;
+    }
+    EXPECT_EQ(json::Parse(WriteOne(all)).AsString(), all);
+}
+
+TEST(JsonWriter, OneLayoutAndJsonLines) {
+    json::Writer w;
+    w.BeginObject()
+        .Field("name", "a\"b")
+        .Field("ok", true)
+        .Field("n", -3)
+        .Field("list", std::vector<std::size_t>{1, 2, 3})
+        .Key("empty")
+        .BeginObject()
+        .EndObject()
+        .Key("none")
+        .Null()
+        .EndObject()
+        .EndLine();
+    w.BeginArray().EndArray().EndLine();
+    EXPECT_EQ(w.str(),
+              "{\"name\": \"a\\\"b\", \"ok\": true, \"n\": -3, "
+              "\"list\": [1, 2, 3], \"empty\": {}, \"none\": null}\n[]\n");
+    // Re-emitted objects come out with sorted keys.
+    EXPECT_EQ(WriteOne(json::Parse("{\"b\": 1, \"a\": {\"d\": [], \"c\": \"x\"}}")),
+              "{\"a\": {\"c\": \"x\", \"d\": []}, \"b\": 1}");
 }
 
 }  // namespace

@@ -57,7 +57,6 @@
 #include <optional>
 #include <ostream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -72,6 +71,7 @@
 #include "storage/manifest.h"
 #include "storage/store_error.h"
 #include "util/crc32.h"
+#include "util/json.h"
 #include "util/table.h"
 
 namespace moc::cli {
@@ -501,63 +501,35 @@ RunFsck(const Args& args, std::ostream& out) {
 
     const std::string json_path = args.Get("json", "");
     if (!json_path.empty()) {
-        std::ostringstream j;
-        j << "{\n  \"format\": \"moc-fsck/1\",\n  \"root\": \""
-          << obs::JsonEscape(root) << "\",\n  \"exit_code\": " << code
-          << ",\n  \"files\": " << files.size()
-          << ",\n  \"stale_temp_files\": " << temps.size()
-          << ",\n  \"stale_temp_bytes\": " << temp_bytes
-          << ",\n  \"have_manifest\": " << (have_manifest ? "true" : "false")
-          << ",\n  \"damaged_files\": [";
-        for (std::size_t i = 0; i < damaged_files.size(); ++i) {
-            j << (i == 0 ? "" : ", ") << "\""
-              << obs::JsonEscape(damaged_files[i]) << "\"";
+        json::Writer j;
+        j.BeginObject().Field("format", "moc-fsck/1").Field("root", root)
+            .Field("exit_code", code).Field("files", files.size())
+            .Field("stale_temp_files", temps.size())
+            .Field("stale_temp_bytes", temp_bytes)
+            .Field("have_manifest", have_manifest)
+            .Field("damaged_files", damaged_files)
+            .Field("format_errors", format_errors)
+            .Key("missing_versions").BeginArray();
+        for (const auto& mv : missing) {
+            j.BeginObject().Field("key", mv.key)
+                .Field("iteration", mv.iteration).EndObject();
         }
-        j << "],\n  \"format_errors\": [";
-        for (std::size_t i = 0; i < format_errors.size(); ++i) {
-            j << (i == 0 ? "" : ", ") << "\""
-              << obs::JsonEscape(format_errors[i]) << "\"";
-        }
-        j << "],\n  \"missing_versions\": [";
-        for (std::size_t i = 0; i < missing.size(); ++i) {
-            j << (i == 0 ? "" : ", ") << "{\"key\": \""
-              << obs::JsonEscape(missing[i].key)
-              << "\", \"iteration\": " << missing[i].iteration << "}";
-        }
-        j << "],\n  \"delta_chain_breaks\": [";
-        {
-            std::size_t emitted = 0;
-            for (const auto& mv : missing) {
-                if (!mv.chain_break) {
-                    continue;
-                }
-                j << (emitted++ == 0 ? "" : ", ") << "{\"key\": \""
-                  << obs::JsonEscape(mv.key)
-                  << "\", \"iteration\": " << mv.iteration
-                  << ", \"base\": " << mv.base << "}";
+        j.EndArray().Key("delta_chain_breaks").BeginArray();
+        for (const auto& mv : missing) {
+            if (mv.chain_break) {
+                j.BeginObject().Field("key", mv.key)
+                    .Field("iteration", mv.iteration).Field("base", mv.base)
+                    .EndObject();
             }
         }
-        j << "],\n  \"torn_generations\": [";
-        for (std::size_t i = 0; i < torn.size(); ++i) {
-            j << (i == 0 ? "" : ", ") << torn[i];
-        }
-        j << "],\n  \"aborted_generations\": [";
-        for (std::size_t i = 0; i < aborted.size(); ++i) {
-            j << (i == 0 ? "" : ", ") << aborted[i];
-        }
-        j << "],\n  \"orphaned_generations\": [";
-        for (std::size_t i = 0; i < orphaned.size(); ++i) {
-            j << (i == 0 ? "" : ", ") << orphaned[i];
-        }
-        j << "],\n  \"membership_live_ranks\": "
-          << (membership ? membership->LiveRanks().size() : 0)
-          << ",\n  \"have_membership\": "
-          << (membership ? "true" : "false")
-          << ",\n  \"restartable_generations\": [";
-        for (std::size_t i = 0; i < restartable.size(); ++i) {
-            j << (i == 0 ? "" : ", ") << restartable[i];
-        }
-        j << "]\n}\n";
+        j.EndArray().Field("torn_generations", torn)
+            .Field("aborted_generations", aborted)
+            .Field("orphaned_generations", orphaned)
+            .Field("membership_live_ranks",
+                   membership ? membership->LiveRanks().size() : 0)
+            .Field("have_membership", membership.has_value())
+            .Field("restartable_generations", restartable).EndObject()
+            .EndLine();
         if (!obs::WriteTextFile(json_path, j.str(), "fsck report")) {
             out << "warning: cannot write " << json_path << "\n";
         }

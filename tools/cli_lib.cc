@@ -1,8 +1,10 @@
 #include "cli_lib.h"
 
 #include <algorithm>
+#include <fstream>
 #include <optional>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/moc_system.h"
@@ -56,6 +58,17 @@ Args::GetInt(const std::string& name, long fallback) const {
                                     v + "'");
     }
     return parsed;
+}
+
+std::string
+ReadFileOrThrow(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        throw std::invalid_argument("cannot read '" + path + "'");
+    }
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
 }
 
 Args

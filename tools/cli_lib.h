@@ -77,6 +77,9 @@ struct Args {
 /** Splits argv-style tokens into Args. Throws on `--flag` without value. */
 Args ParseArgs(const std::vector<std::string>& tokens);
 
+/** Whole-file read; throws std::invalid_argument("cannot read '<path>'"). */
+std::string ReadFileOrThrow(const std::string& path);
+
 /** Runs one subcommand; returns a process exit code, output to @p out. */
 int RunInspect(const Args& args, std::ostream& out);
 int RunPlan(const Args& args, std::ostream& out);

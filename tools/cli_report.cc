@@ -22,11 +22,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,18 +43,6 @@
 namespace moc::cli {
 
 namespace {
-
-/** Whole-file read; throws std::invalid_argument when unreadable. */
-std::string
-ReadFileOrThrow(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw std::invalid_argument("cannot read '" + path + "'");
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
 
 /** The metrics dump, decoded back into registry-shaped containers. */
 struct MetricsDump {
@@ -93,13 +79,6 @@ struct MetricsDump {
     }
 };
 
-std::uint64_t
-AsU64(const json::Value& v) {
-    // Counters are serialized as integer tokens; take the exact 64-bit
-    // path so byte totals past 2^53 don't round through a double.
-    return v.AsU64();
-}
-
 MetricsDump
 ParseMetricsDump(const std::string& text) {
     const json::Value root = json::Parse(text);
@@ -129,14 +108,14 @@ ParseMetricsDump(const std::string& text) {
     if (const json::Value* histograms = root.Find("histograms")) {
         for (const auto& [name, value] : histograms->AsObject()) {
             obs::HistogramData h;
-            h.count = AsU64(value.At("count"));
+            h.count = value.At("count").AsU64();
             h.sum = value.At("sum").AsNumber();
             for (const json::Value& bucket : value.At("buckets").AsArray()) {
                 const json::Value& le = bucket.At("le");
                 if (le.is_number()) {  // the "+inf" bucket has a string le
                     h.bounds.push_back(le.AsNumber());
                 }
-                h.bucket_counts.push_back(AsU64(bucket.At("count")));
+                h.bucket_counts.push_back(bucket.At("count").AsU64());
             }
             dump.histograms[name] = std::move(h);
         }
@@ -146,15 +125,15 @@ ParseMetricsDump(const std::string& text) {
             obs::ExpertStat stat;
             stat.layer = static_cast<std::uint32_t>(cell.At("layer").AsNumber());
             stat.expert = static_cast<std::uint32_t>(cell.At("expert").AsNumber());
-            stat.last_snapshot_iteration = AsU64(cell.At("last_snapshot_iteration"));
-            stat.last_persist_iteration = AsU64(cell.At("last_persist_iteration"));
-            stat.snapshot_staleness = AsU64(cell.At("snapshot_staleness"));
-            stat.persist_staleness = AsU64(cell.At("persist_staleness"));
-            stat.snapshots = AsU64(cell.At("snapshots"));
-            stat.persists = AsU64(cell.At("persists"));
-            stat.snapshot_bytes = AsU64(cell.At("snapshot_bytes"));
-            stat.persist_bytes = AsU64(cell.At("persist_bytes"));
-            stat.lost_tokens = AsU64(cell.At("lost_tokens"));
+            stat.last_snapshot_iteration = cell.At("last_snapshot_iteration").AsU64();
+            stat.last_persist_iteration = cell.At("last_persist_iteration").AsU64();
+            stat.snapshot_staleness = cell.At("snapshot_staleness").AsU64();
+            stat.persist_staleness = cell.At("persist_staleness").AsU64();
+            stat.snapshots = cell.At("snapshots").AsU64();
+            stat.persists = cell.At("persists").AsU64();
+            stat.snapshot_bytes = cell.At("snapshot_bytes").AsU64();
+            stat.persist_bytes = cell.At("persist_bytes").AsU64();
+            stat.lost_tokens = cell.At("lost_tokens").AsU64();
             dump.experts.push_back(stat);
         }
     }
@@ -785,82 +764,67 @@ RunReport(const Args& args, std::ostream& out) {
     for (const obs::JournalEvent& e : events) {
         bumps += e.kind == obs::EventKind::kDynamicKBump ? 1 : 0;
     }
-    std::ostringstream machine;
-    machine << "{\"schema\": \"moc-report/1\",\n"
-            << " \"operating_point\": {\"i_total\": " << obs::JsonNumber(i_total)
-            << ", \"lambda\": " << obs::JsonNumber(lambda)
-            << ", \"t_iter\": " << obs::JsonNumber(t_iter)
-            << ", \"o_save\": " << obs::JsonNumber(o_save)
-            << ", \"o_restart\": " << obs::JsonNumber(o_restart)
-            << ", \"i_ckpt\": " << obs::JsonNumber(i_ckpt) << "},\n"
-            << " \"predicted\": {\"expected_faults\": "
-            << obs::JsonNumber(predicted_faults)
-            << ", \"total_overhead_s\": " << obs::JsonNumber(predicted_overhead)
-            << ", \"optimal_interval_iters\": "
-            << (optimal_defined ? obs::JsonNumber(optimal_interval) : "null")
-            << "},\n"
-            << " \"measured\": {\"faults\": " << obs::JsonNumber(faults)
-            << ", \"overhead_s\": " << obs::JsonNumber(measured_overhead)
-            << ", \"ckpt_seconds\": " << obs::JsonNumber(ckpt_seconds)
-            << ", \"recovery_seconds\": " << obs::JsonNumber(recovery_seconds)
-            << ", \"replay_seconds\": " << obs::JsonNumber(replay_seconds)
-            << "},\n"
-            << " \"residual\": {\"faults\": "
-            << obs::JsonNumber(faults - predicted_faults)
-            << ", \"overhead_s\": " << obs::JsonNumber(residual_overhead)
-            << "},\n"
-            << " \"plt\": {\"peak\": " << obs::JsonNumber(max_plt)
-            << ", \"threshold\": " << obs::JsonNumber(threshold)
-            << ", \"within_budget\": " << (max_plt <= threshold ? "true" : "false")
-            << "},\n"
-            << " \"storage\": {\"injected_faults\": "
-            << obs::JsonNumber(injected_faults)
-            << ", \"retries\": " << obs::JsonNumber(retries)
-            << ", \"corrupt_reads\": " << obs::JsonNumber(corrupt_reads)
-            << ", \"read_repairs\": " << obs::JsonNumber(read_repairs)
-            << ", \"put_verify_failures\": "
-            << obs::JsonNumber(put_verify_failures)
-            << ", \"timeouts\": " << obs::JsonNumber(store_timeouts)
-            << ", \"persist_shard_failures\": " << obs::JsonNumber(shard_failures)
-            << ", \"degraded_keys\": " << obs::JsonNumber(degraded_keys)
-            << ", \"generation_fallbacks\": "
-            << obs::JsonNumber(generation_fallbacks)
-            << ", \"storage_fault_events\": " << storage_fault_events
-            << ", \"delta_shards\": " << obs::JsonNumber(delta_shards)
-            << ", \"delta_bytes_written\": "
-            << obs::JsonNumber(delta_bytes_written)
-            << ", \"delta_bytes_saved\": " << obs::JsonNumber(delta_bytes_saved)
-            << ", \"delta_forced_full\": "
-            << obs::JsonNumber(delta_forced_full) << "},\n"
-            << " \"events\": {\"total\": " << events.size()
-            << ", \"recoveries\": " << recoveries.size()
-            << ", \"dynamic_k_bumps\": " << bumps
-            << ", \"stalls\": " << stall_events
-            << ", \"peer_deaths\": " << peer_deaths << "},\n"
-            << " \"cluster\": {\"metrics_roles\": " << role_dumps.size()
-            << ", \"event_roles\": " << event_roles
-            << ", \"skipped_lines\": " << merged_skipped
-            << ", \"telemetry_sent\": " << obs::JsonNumber(telemetry_sent)
-            << ", \"telemetry_dropped\": "
-            << obs::JsonNumber(telemetry_dropped)
-            << ", \"straggler_events\": " << straggler_events.size()
-            << ", \"membership_changes\": "
-            << (membership_events.size() - rejoin_count)
-            << ", \"rejoins\": " << rejoin_count
-            << ", \"stragglers\": [";
-    for (std::size_t i = 0; i < straggler_events.size(); ++i) {
-        const obs::JournalEvent* e = straggler_events[i];
-        machine << (i == 0 ? "" : ", ") << "{\"rank\": " << e->scope
-                << ", \"gen\": " << e->gen << ", \"seq\": " << e->seq
-                << ", \"detail\": \"" << obs::JsonEscape(e->detail) << "\"}";
+    json::Writer machine;
+    machine.BeginObject().Field("schema", "moc-report/1")
+        .Key("operating_point").BeginObject().Field("i_total", i_total)
+        .Field("lambda", lambda).Field("t_iter", t_iter).Field("o_save", o_save)
+        .Field("o_restart", o_restart).Field("i_ckpt", i_ckpt).EndObject()
+        .Key("predicted").BeginObject()
+        .Field("expected_faults", predicted_faults)
+        .Field("total_overhead_s", predicted_overhead)
+        .Key("optimal_interval_iters");
+    if (optimal_defined) {
+        machine.Put(optimal_interval);
+    } else {
+        machine.Null();
     }
-    machine << "]},\n"
-            << " \"obs_health\": {\"trace_dropped\": "
-            << obs::JsonNumber(trace_dropped) << ", \"journal_dropped\": "
-            << obs::JsonNumber(journal_dropped) << ", \"http_requests\": "
-            << obs::JsonNumber(http_requests) << ", \"http_errors\": "
-            << obs::JsonNumber(http_errors) << ", \"http_shed\": "
-            << obs::JsonNumber(http_shed) << "}}\n";
+    machine.EndObject().Key("measured").BeginObject().Field("faults", faults)
+        .Field("overhead_s", measured_overhead)
+        .Field("ckpt_seconds", ckpt_seconds)
+        .Field("recovery_seconds", recovery_seconds)
+        .Field("replay_seconds", replay_seconds).EndObject()
+        .Key("residual").BeginObject()
+        .Field("faults", faults - predicted_faults)
+        .Field("overhead_s", residual_overhead).EndObject()
+        .Key("plt").BeginObject().Field("peak", max_plt)
+        .Field("threshold", threshold)
+        .Field("within_budget", max_plt <= threshold).EndObject()
+        .Key("storage").BeginObject().Field("injected_faults", injected_faults)
+        .Field("retries", retries).Field("corrupt_reads", corrupt_reads)
+        .Field("read_repairs", read_repairs)
+        .Field("put_verify_failures", put_verify_failures)
+        .Field("timeouts", store_timeouts)
+        .Field("persist_shard_failures", shard_failures)
+        .Field("degraded_keys", degraded_keys)
+        .Field("generation_fallbacks", generation_fallbacks)
+        .Field("storage_fault_events", storage_fault_events)
+        .Field("delta_shards", delta_shards)
+        .Field("delta_bytes_written", delta_bytes_written)
+        .Field("delta_bytes_saved", delta_bytes_saved)
+        .Field("delta_forced_full", delta_forced_full).EndObject()
+        .Key("events").BeginObject().Field("total", events.size())
+        .Field("recoveries", recoveries.size()).Field("dynamic_k_bumps", bumps)
+        .Field("stalls", stall_events).Field("peer_deaths", peer_deaths)
+        .EndObject()
+        .Key("cluster").BeginObject().Field("metrics_roles", role_dumps.size())
+        .Field("event_roles", event_roles)
+        .Field("skipped_lines", merged_skipped)
+        .Field("telemetry_sent", telemetry_sent)
+        .Field("telemetry_dropped", telemetry_dropped)
+        .Field("straggler_events", straggler_events.size())
+        .Field("membership_changes",
+               membership_events.size() - rejoin_count)
+        .Field("rejoins", rejoin_count)
+        .Key("stragglers").BeginArray();
+    for (const obs::JournalEvent* e : straggler_events) {
+        machine.BeginObject().Field("rank", e->scope).Field("gen", e->gen)
+            .Field("seq", e->seq).Field("detail", e->detail).EndObject();
+    }
+    machine.EndArray().EndObject()
+        .Key("obs_health").BeginObject().Field("trace_dropped", trace_dropped)
+        .Field("journal_dropped", journal_dropped)
+        .Field("http_requests", http_requests).Field("http_errors", http_errors)
+        .Field("http_shed", http_shed).EndObject().EndObject().EndLine();
     out << "\n--- machine-readable (moc-report/1) ---\n" << machine.str();
 
     const std::string report_json = args.Get("report-json", "");

@@ -22,12 +22,9 @@
  */
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <map>
-#include <optional>
 #include <ostream>
-#include <sstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -37,23 +34,12 @@
 #include "obs/export.h"
 #include "obs/journal.h"
 #include "obs/merge.h"
+#include "util/json.h"
 #include "util/table.h"
 
 namespace moc::cli {
 
 namespace {
-
-/** Whole-file read; nullopt (not a throw) so the caller can exit 2. */
-std::optional<std::string>
-ReadFile(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        return std::nullopt;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
 
 double
 NsToS(std::uint64_t ns) {
@@ -95,40 +81,19 @@ InferIntervalFromGenerations(const obs::FlightAnalysis& analysis) {
     its own lane group in chrome://tracing. */
 std::string
 AnnotatedChromeTrace(const std::vector<obs::FlightSpan>& spans) {
-    std::ostringstream out;
-    out << "{\"traceEvents\": [";
-    bool first = true;
-    std::map<std::uint64_t, bool> named;
+    json::Writer w;
+    w.BeginObject().Key("traceEvents").BeginArray();
+    std::set<std::uint64_t> named;
     for (const obs::FlightSpan& s : spans) {
         const std::uint64_t pid = s.generation;  // lane 0 = non-checkpoint
-        if (s.generation != 0 && !named[s.generation]) {
-            named[s.generation] = true;
-            out << (first ? "" : ",")
-                << "\n  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
-                << pid << ", \"args\": {\"name\": \"generation "
-                << s.generation << "\"}}";
-            first = false;
+        if (s.generation != 0 && named.insert(s.generation).second) {
+            obs::WriteChromeLaneName(
+                w, pid, "generation " + std::to_string(s.generation));
         }
-        char ts[40];
-        std::snprintf(ts, sizeof(ts), "%llu.%03u",
-                      static_cast<unsigned long long>(s.start_ns / 1000),
-                      static_cast<unsigned>(s.start_ns % 1000));
-        char dur[40];
-        std::snprintf(dur, sizeof(dur), "%llu.%03u",
-                      static_cast<unsigned long long>(s.duration_ns / 1000),
-                      static_cast<unsigned>(s.duration_ns % 1000));
-        out << (first ? "" : ",") << "\n  {\"name\": \""
-            << obs::JsonEscape(s.name) << "\", \"cat\": \""
-            << obs::JsonEscape(s.category) << "\", \"ph\": \"X\", \"ts\": "
-            << ts << ", \"dur\": " << dur << ", \"pid\": " << pid
-            << ", \"tid\": " << s.tid << ", \"args\": {\"gen\": "
-            << s.generation << ", \"iter\": " << s.iteration
-            << ", \"rank\": " << s.rank << ", \"phase\": \""
-            << obs::JsonEscape(s.phase) << "\"}}";
-        first = false;
+        obs::WriteChromeSpan(w, s, pid, s.start_ns);
     }
-    out << (spans.empty() ? "" : "\n") << "], \"displayTimeUnit\": \"ms\"}\n";
-    return out.str();
+    w.EndArray().Field("displayTimeUnit", "ms").EndObject().EndLine();
+    return w.Take();
 }
 
 }  // namespace
@@ -153,16 +118,12 @@ RunTrace(const Args& args, std::ostream& out) {
     std::vector<obs::RoleSpans> role_spans;
     try {
         for (const std::string& trace_path : trace_paths) {
-            const auto trace_text = ReadFile(trace_path);
-            if (!trace_text) {
-                out << "error: cannot read '" << trace_path << "'\n";
-                return 2;
-            }
+            const std::string trace_text = ReadFileOrThrow(trace_path);
             if (merged_traces) {
                 role_spans.push_back(obs::ParseRoleTrace(
-                    *trace_text, obs::RoleFromFilename(trace_path)));
+                    trace_text, obs::RoleFromFilename(trace_path)));
             } else {
-                spans = obs::ParseChromeTraceJson(*trace_text);
+                spans = obs::ParseChromeTraceJson(trace_text);
             }
         }
         if (merged_traces) {
@@ -173,13 +134,9 @@ RunTrace(const Args& args, std::ostream& out) {
         if (merged_events) {
             std::vector<obs::RoleEvents> role_events;
             for (const std::string& events_path : events_paths) {
-                const auto events_text = ReadFile(events_path);
-                if (!events_text) {
-                    out << "error: cannot read '" << events_path << "'\n";
-                    return 2;
-                }
                 role_events.push_back(obs::ParseRoleEventsJsonl(
-                    *events_text, obs::RoleFromFilename(events_path)));
+                    ReadFileOrThrow(events_path),
+                    obs::RoleFromFilename(events_path)));
             }
             const obs::MergedEvents merged =
                 obs::MergeRoleEvents(role_events);
@@ -192,13 +149,8 @@ RunTrace(const Args& args, std::ostream& out) {
                 journal.push_back(ce.event);
             }
         } else if (!events_paths.empty()) {
-            const auto events_text = ReadFile(events_paths.front());
-            if (!events_text) {
-                out << "error: cannot read '" << events_paths.front()
-                    << "'\n";
-                return 2;
-            }
-            journal = obs::ParseEventsJsonl(*events_text);
+            journal =
+                obs::ParseEventsJsonl(ReadFileOrThrow(events_paths.front()));
         }
     } catch (const std::exception& e) {
         out << "error: " << e.what() << "\n";
@@ -244,9 +196,9 @@ RunTrace(const Args& args, std::ostream& out) {
         i_ckpt = InferIntervalFromGenerations(analysis);
     }
 
-    std::ostringstream machine;
-    machine << "{\"schema\": \"moc-trace/1\",\n \"generations\": [";
-    bool first_gen = true;
+    json::Writer machine;
+    machine.BeginObject().Field("schema", "moc-trace/1")
+        .Key("generations").BeginArray();
 
     for (const obs::GenerationProfile& gen : analysis.generations) {
         out << "\n== generation " << gen.generation << " (iteration "
@@ -335,51 +287,35 @@ RunTrace(const Args& args, std::ostream& out) {
             }
         }
 
-        machine << (first_gen ? "" : ",") << "\n  {\"generation\": "
-                << gen.generation << ", \"iteration\": " << gen.iteration
-                << ", \"wall_s\": " << obs::JsonNumber(NsToS(gen.wall_ns))
-                << ", \"critical_s\": "
-                << obs::JsonNumber(NsToS(gen.critical_ns))
-                << ", \"straggler\": " << gen.straggler
-                << ", \"stalls\": " << gen_stalls << ",\n   \"phases\": {";
-        bool first_phase = true;
+        machine.BeginObject().Field("generation", gen.generation)
+            .Field("iteration", gen.iteration)
+            .Field("wall_s", NsToS(gen.wall_ns))
+            .Field("critical_s", NsToS(gen.critical_ns))
+            .Field("straggler", gen.straggler).Field("stalls", gen_stalls)
+            .Key("phases").BeginObject();
         for (const auto& [phase, ns] : gen.phase_ns) {
-            machine << (first_phase ? "" : ", ") << "\""
-                    << obs::JsonEscape(phase)
-                    << "\": " << obs::JsonNumber(NsToS(ns));
-            first_phase = false;
+            machine.Field(phase, NsToS(ns));
         }
-        machine << "},\n   \"critical_path\": [";
-        for (std::size_t i = 0; i < gen.critical_path.size(); ++i) {
-            const obs::CriticalSegment& seg = gen.critical_path[i];
-            machine << (i == 0 ? "" : ", ") << "{\"phase\": \""
-                    << obs::JsonEscape(seg.phase) << "\", \"rank\": "
-                    << seg.rank << ", \"wait_s\": "
-                    << obs::JsonNumber(NsToS(seg.wait_ns))
-                    << ", \"duration_s\": "
-                    << obs::JsonNumber(NsToS(seg.duration_ns)) << "}";
+        machine.EndObject().Key("critical_path").BeginArray();
+        for (const obs::CriticalSegment& seg : gen.critical_path) {
+            machine.BeginObject().Field("phase", seg.phase)
+                .Field("rank", seg.rank).Field("wait_s", NsToS(seg.wait_ns))
+                .Field("duration_s", NsToS(seg.duration_ns)).EndObject();
         }
-        machine << "],\n   \"ranks\": [";
-        for (std::size_t i = 0; i < gen.ranks.size(); ++i) {
-            const obs::RankProfile& r = gen.ranks[i];
-            machine << (i == 0 ? "" : ", ") << "{\"rank\": " << r.rank
-                    << ", \"serialize_s\": "
-                    << obs::JsonNumber(NsToS(r.serialize_ns))
-                    << ", \"snapshot_s\": "
-                    << obs::JsonNumber(NsToS(r.snapshot_ns))
-                    << ", \"persist_s\": "
-                    << obs::JsonNumber(NsToS(r.persist_ns))
-                    << ", \"shards\": " << r.shards << ", \"slack_s\": "
-                    << obs::JsonNumber(NsToS(r.slack_ns)) << "}";
+        machine.EndArray().Key("ranks").BeginArray();
+        for (const obs::RankProfile& r : gen.ranks) {
+            machine.BeginObject().Field("rank", r.rank)
+                .Field("serialize_s", NsToS(r.serialize_ns))
+                .Field("snapshot_s", NsToS(r.snapshot_ns))
+                .Field("persist_s", NsToS(r.persist_ns))
+                .Field("shards", r.shards).Field("slack_s", NsToS(r.slack_ns))
+                .EndObject();
         }
-        machine << "]}";
-        first_gen = false;
+        machine.EndArray().EndObject();
     }
-    machine << (analysis.generations.empty() ? "" : "\n ") << "],\n"
-            << " \"stalls_total\": " << stalls_total
-            << ", \"i_ckpt\": " << obs::JsonNumber(i_ckpt)
-            << ", \"spans\": " << spans.size()
-            << ", \"trace_files\": " << trace_paths.size() << "}\n";
+    machine.EndArray().Field("stalls_total", stalls_total)
+        .Field("i_ckpt", i_ckpt).Field("spans", spans.size())
+        .Field("trace_files", trace_paths.size()).EndObject().EndLine();
 
     if (stalls_total > 0) {
         out << "\n" << stalls_total

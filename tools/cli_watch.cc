@@ -24,7 +24,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,15 +47,6 @@ struct PollResult {
     std::string series;
 };
 
-/** Strips the trailing newline the endpoint bodies carry. */
-std::string
-Chomp(std::string s) {
-    while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) {
-        s.pop_back();
-    }
-    return s;
-}
-
 PollResult
 Poll(const obs::UrlParts& url, std::size_t series_last) {
     PollResult result;
@@ -66,14 +56,14 @@ Poll(const obs::UrlParts& url, std::size_t series_last) {
     }
     result.reachable = true;
     result.health_status = health->status;
-    result.healthz = Chomp(health->body);
+    result.healthz = health->body;
     if (const auto ranks = obs::HttpGet(url.host, url.port, "/ranks")) {
-        result.ranks = Chomp(ranks->body);
+        result.ranks = ranks->body;
     }
     const std::string series_path =
         "/series?last=" + std::to_string(series_last);
     if (const auto series = obs::HttpGet(url.host, url.port, series_path)) {
-        result.series = Chomp(series->body);
+        result.series = series->body;
     }
     return result;
 }
@@ -153,19 +143,32 @@ RenderHuman(const PollResult& poll, std::ostream& out) {
     }
 }
 
-/** One poll as a `moc-watch/1` JSON object (bodies embedded verbatim). */
+/** A fetched body as its parsed document, or null when it does not parse:
+    nothing the network sends can break the enclosing document. */
+void
+PutBody(json::Writer& w, const std::string& body) {
+    try {
+        w.Put(json::Parse(body));
+    } catch (const std::invalid_argument&) {
+        w.Null();
+    }
+}
+
+/** One poll as a `moc-watch/1` JSON object. */
 void
 RenderJson(const std::string& url, const PollResult& poll,
            std::ostream& out) {
-    out << "{\"schema\": \"moc-watch/1\", \"url\": \"" << url
-        << "\", \"reachable\": " << (poll.reachable ? "true" : "false")
-        << ", \"health_status\": " << poll.health_status << ", \"healthy\": "
-        << (poll.health_status == 200 ? "true" : "false");
-    // The endpoint bodies are JSON already; embed, don't re-encode.
-    out << ", \"healthz\": " << (poll.healthz.empty() ? "null" : poll.healthz)
-        << ", \"ranks\": " << (poll.ranks.empty() ? "null" : poll.ranks)
-        << ", \"series\": " << (poll.series.empty() ? "null" : poll.series)
-        << "}\n";
+    json::Writer w;
+    w.BeginObject().Field("schema", "moc-watch/1").Field("url", url)
+        .Field("reachable", poll.reachable);
+    if (poll.reachable) {
+        w.Field("health_status", poll.health_status)
+            .Field("healthy", poll.health_status == 200);
+        PutBody(w.Key("healthz"), poll.healthz);
+        PutBody(w.Key("ranks"), poll.ranks);
+        PutBody(w.Key("series"), poll.series);
+    }
+    out << w.EndObject().EndLine().str();
 }
 
 }  // namespace
@@ -207,10 +210,11 @@ RunWatch(const Args& args, std::ostream& out) {
             }
         } else {
             if (!ever_reached) {
-                out << (as_json
-                            ? "{\"schema\": \"moc-watch/1\", \"url\": \"" +
-                                  url_text + "\", \"reachable\": false}\n"
-                            : "unreachable: " + url_text + "\n");
+                if (as_json) {
+                    RenderJson(url_text, poll, out);
+                } else {
+                    out << "unreachable: " << url_text << "\n";
+                }
                 return 2;
             }
             // The run ended out from under us; report the last verdict.
