@@ -394,7 +394,8 @@ RunCoordinator(std::size_t ranks, std::size_t events,
                const std::string& ckpt_dir, const std::string& port_file,
                const net::SocketOptions& net_opts, Seconds join_timeout_s,
                Seconds barrier_deadline_s, const LiveEndpointConfig& live) {
-    FileStore store(ckpt_dir);
+    FileStore disk(ckpt_dir);
+    ResilientStore store(disk);
     const auto endpoint = StartLiveEndpoint(live);
     const auto transport =
         ListenForRanks(ranks, port_file, net_opts, join_timeout_s, "");
@@ -418,7 +419,7 @@ RunCoordinator(std::size_t ranks, std::size_t events,
         const BarrierStep step(coordinator, manifest, event,
                                barrier_deadline_s);
         const BarrierResult& barrier = step.barrier;
-        PutJson(store, kManifestKey, manifest.ToJson());
+        WriteManifest(store, manifest);
         AccumulateBarrierBytes(barrier, bytes_total, bytes_saved);
         SampleBarrier(event, step.Elapsed(), bytes_total, bytes_saved);
         t.AddRow({std::to_string(event), step.sealed ? "yes" : "no",
@@ -494,7 +495,8 @@ RunElasticCoordinator(std::size_t ranks, std::size_t events,
                       const net::SocketOptions& net_opts,
                       Seconds join_timeout_s, Seconds barrier_deadline_s,
                       const LiveEndpointConfig& live_cfg) {
-    FileStore store(ckpt_dir);
+    FileStore disk(ckpt_dir);
+    ResilientStore store(disk);
     const auto endpoint = StartLiveEndpoint(live_cfg);
     const auto transport = ListenForRanks(ranks, port_file, net_opts,
                                           join_timeout_s, "elastic, ");
@@ -653,7 +655,7 @@ RunElasticCoordinator(std::size_t ranks, std::size_t events,
         for (const auto& join : barrier.joins) {
             handle_join(join);
         }
-        PutJson(store, kManifestKey, manifest.ToJson());
+        WriteManifest(store, manifest);
         write_membership();
         AccumulateBarrierBytes(barrier, bytes_total, bytes_saved);
         SampleBarrier(event, step.Elapsed(), bytes_total, bytes_saved);

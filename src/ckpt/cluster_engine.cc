@@ -3,7 +3,6 @@
 #include <thread>
 
 #include "obs/trace.h"
-#include "storage/store_error.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -47,7 +46,7 @@ ClusterCheckpointEngine::ClusterCheckpointEngine(PersistentStore& store,
                                                  std::size_t num_ranks,
                                                  const AgentCostModel& cost,
                                                  const ClusterEngineOptions& options)
-    : store_(store), options_(options) {
+    : persist_(store), options_(options) {
     Init(num_ranks, cost, [&store](Bytes bytes) { return store.WriteTime(bytes); });
 }
 
@@ -55,7 +54,7 @@ ClusterCheckpointEngine::ClusterCheckpointEngine(ObjectStore& store,
                                                  std::size_t num_ranks,
                                                  const AgentCostModel& cost,
                                                  const ClusterEngineOptions& options)
-    : store_(store), options_(options) {
+    : persist_(store), options_(options) {
     Init(num_ranks, cost, [bandwidth = cost.persist_bandwidth](Bytes bytes) {
         return static_cast<double>(bytes) / bandwidth;
     });
@@ -79,7 +78,7 @@ ClusterCheckpointEngine::Init(std::size_t num_ranks, const AgentCostModel& cost,
         pipe.shard_budget_s = options_.shard_deadline_s;
         pipe.seal_budget_s = options_.seal_deadline_s;
     }
-    pipeline_ = std::make_unique<PersistPipeline>(store_, manifest_,
+    pipeline_ = std::make_unique<PersistPipeline>(persist_, manifest_,
                                                   std::move(write_cost), pipe);
     // The begin/done barrier of every Execute runs over real Transport
     // endpoints (in-process mailboxes here; TCP in the multi-process
@@ -100,7 +99,7 @@ ClusterCheckpointEngine::Init(std::size_t num_ranks, const AgentCostModel& cost,
     agents_.reserve(num_ranks);
     for (std::size_t r = 0; r < num_ranks; ++r) {
         agents_.push_back(std::make_unique<AsyncCheckpointAgent>(
-            store_, "rank" + std::to_string(r), cost));
+            persist_, "rank" + std::to_string(r), cost));
         agents_.back()->AttachPipeline(pipeline_.get());
     }
 }
@@ -215,14 +214,6 @@ ClusterCheckpointEngine::Execute(const ShardPlan& plan, const BlobProvider& prov
     stats.forced_full = gen.forced_full;
     stats.persist_failures = gen.failures;
     stats.sealed = gen.sealed;
-    const std::string json = manifest_.ToJson();
-    try {
-        store_.Put(kManifestKey, Blob(json.begin(), json.end()));
-    } catch (const StoreError& e) {
-        MOC_WARN << "cluster: manifest write failed ("
-                 << StoreErrorKindName(e.kind())
-                 << "); offline audit will lag one generation";
-    }
     stats.total_makespan = clock.Now() - start;
     last_iteration_ = iteration;
     has_executed_ = true;

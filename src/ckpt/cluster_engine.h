@@ -9,16 +9,18 @@
  * (Section 6.2.1's "the duration of the blocking checkpointing process is
  * primarily determined by the bottleneck rank").
  *
- * The persist path implements the cluster commit protocol
+ * The persist path is the one persist engine, PersistPipeline
  * (docs/FAULT_MODEL.md): every ShardItem is written under its own versioned
- * key "rank<r>/<item.key>@<iteration>", drained by a bounded persist worker
- * pool that CRC-verifies each write and dedups shards unchanged since the
- * last sealed generation; the generation is sealed in the manifest — and
+ * key "rank<r>/<item.key>@<iteration>" through a ResilientStore over the
+ * engine's store (retried, read back and CRC-verified, as the
+ * multi-process ranks write), and shards unchanged since the last sealed
+ * generation are deduped; the generation is sealed in the manifest — and
  * only then offered as a restart target — when every rank's every shard
- * landed and verified. After every event the manifest JSON is written to
- * kManifestKey (best-effort) so offline tools (`moc_cli fsck`) can audit
- * the directory. bench_persist_pipeline A/Bs dedup against full per-shard
- * writes.
+ * landed and verified. The pipeline writes the manifest JSON to
+ * kManifestKey after every event (best-effort) so offline tools
+ * (`moc_cli fsck`) can audit the directory. The cluster path keeps every
+ * generation (no retention count). bench_persist_pipeline A/Bs dedup
+ * against full per-shard writes.
  */
 
 #include <functional>
@@ -32,6 +34,7 @@
 #include "net/inproc_transport.h"
 #include "storage/manifest.h"
 #include "storage/persistent_store.h"
+#include "storage/resilient_store.h"
 #include "util/clock.h"
 
 namespace moc {
@@ -164,7 +167,9 @@ class ClusterCheckpointEngine {
     void Init(std::size_t num_ranks, const AgentCostModel& cost,
               WriteCostFn write_cost);
 
-    ObjectStore& store_;
+    /** The engine's store, through which every shard and manifest write
+        is verified. */
+    ResilientStore persist_;
     ClusterEngineOptions options_;
     CheckpointManifest manifest_;
     /**

@@ -12,6 +12,21 @@
 namespace moc {
 
 void
+WriteManifest(ResilientStore& store, const CheckpointManifest& manifest) {
+    const std::string json = manifest.ToJson();
+    try {
+        store.Put(kManifestKey, Blob(json.begin(), json.end()));
+    } catch (const StoreError& e) {
+        obs::EventJournal::Instance().Append(
+            {.kind = obs::EventKind::kStorageFault,
+             .detail = std::string("manifest write failed: ") + e.what()});
+        MOC_WARN << "persist: manifest write failed ("
+                 << StoreErrorKindName(e.kind())
+                 << "); offline audit lags until the next write";
+    }
+}
+
+void
 ShardBatch::Wait() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return pending_ == 0; });
@@ -41,7 +56,8 @@ ShardBatch::bytes_written() const {
     return bytes_written_;
 }
 
-PersistPipeline::PersistPipeline(ObjectStore& store, CheckpointManifest& manifest,
+PersistPipeline::PersistPipeline(ResilientStore& store,
+                                 CheckpointManifest& manifest,
                                  WriteCostFn write_cost,
                                  const PersistPipelineOptions& options)
     : store_(store),
@@ -51,6 +67,8 @@ PersistPipeline::PersistPipeline(ObjectStore& store, CheckpointManifest& manifes
     MOC_CHECK_ARG(options.workers >= 1, "pipeline needs at least one worker");
     MOC_CHECK_ARG(options.queue_capacity >= 1, "queue capacity must be >= 1");
     MOC_CHECK_ARG(options.time_scale >= 0.0, "time_scale must be >= 0");
+    MOC_CHECK_ARG(options.keep_generations == 0 || !options.delta,
+                  "pruning erases full versions only; it needs delta off");
     workers_.reserve(options.workers);
     for (std::size_t i = 0; i < options.workers; ++i) {
         workers_.emplace_back([this] { WorkerLoop(); });
@@ -88,11 +106,8 @@ PersistPipeline::MakeBatch() {
 void
 PersistPipeline::Submit(std::string key, Blob blob, std::size_t iteration,
                         std::shared_ptr<ShardBatch> batch,
-                        const obs::TraceContext& ctx) {
-    if (batch) {
-        std::lock_guard<std::mutex> lock(batch->mu_);
-        ++batch->pending_;
-    }
+                        const obs::TraceContext& ctx,
+                        std::optional<std::uint32_t> crc) {
     std::unique_lock<std::mutex> lock(mu_);
     MOC_CHECK_ARG(open_generation_.has_value() && *open_generation_ == iteration,
                   "submit for iteration " << iteration
@@ -101,14 +116,21 @@ PersistPipeline::Submit(std::string key, Blob blob, std::size_t iteration,
         return queue_.size() < options_.queue_capacity || stop_;
     });
     MOC_CHECK_ARG(!stop_, "pipeline is shutting down");
+    // Counted only once the job is accepted: a rejected submit must leave
+    // its batch waitable. Holding mu_ keeps a worker from completing the
+    // job before it is counted.
+    if (batch) {
+        std::lock_guard<std::mutex> batch_lock(batch->mu_);
+        ++batch->pending_;
+    }
     ++gen_stats_.shards;
-    queue_.push_back(Job{std::move(key), std::move(blob), iteration,
+    queue_.push_back(Job{std::move(key), std::move(blob), iteration, crc,
                          std::move(batch), ctx});
     queue_cv_.notify_all();
 }
 
 GenerationCommitStats
-PersistPipeline::FinishGeneration() {
+PersistPipeline::Seal() {
     std::unique_lock<std::mutex> lock(mu_);
     MOC_CHECK_ARG(open_generation_.has_value(), "no generation open");
     const std::size_t iteration = *open_generation_;
@@ -167,12 +189,38 @@ PersistPipeline::FinishGeneration() {
         unsealed_ctr.Add();
         event.detail = "unsealed failures=" + std::to_string(stats.failures) +
                        " shards=" + std::to_string(stats.shards);
-        MOC_WARN << "cluster: generation " << iteration << " left unsealed ("
+        MOC_WARN << "persist: generation " << iteration << " left unsealed ("
                  << stats.failures << " of " << stats.shards
                  << " shards failed); recovery falls back to the previous "
                     "sealed generation";
     }
     obs::EventJournal::Instance().Append(std::move(event));
+    return stats;
+}
+
+GenerationCommitStats
+PersistPipeline::FinishGeneration() {
+    const GenerationCommitStats stats = Seal();
+    // The manifest that stops listing the pruned versions lands before
+    // their blobs go: a crash in between leaves orphan blobs, never a
+    // manifest naming erased ones.
+    std::vector<std::pair<std::string, std::size_t>> pruned;
+    if (options_.keep_generations > 0) {
+        pruned = manifest_.PrunePersistGenerations(options_.keep_generations);
+    }
+    WriteManifest(store_, manifest_);
+    if (!pruned.empty()) {
+        std::unique_lock<std::mutex> lock(mu_);
+        for (const auto& [key, gen] : pruned) {
+            Job job;
+            job.key = options_.version_key(key, gen);
+            job.erase = true;
+            queue_.push_back(std::move(job));
+        }
+        queue_cv_.notify_all();
+        drain_cv_.wait(lock,
+                       [this] { return queue_.empty() && in_flight_ == 0; });
+    }
     return stats;
 }
 
@@ -186,12 +234,28 @@ PersistPipeline::WorkerLoop() {
             if (queue_.empty()) {
                 return;  // stop_ and nothing left to drain
             }
+            // Only a pop from a full queue can unblock a submitter; other
+            // pops would just wake the idle workers for nothing.
+            if (queue_.size() >= options_.queue_capacity) {
+                queue_cv_.notify_all();
+            }
             job = std::move(queue_.front());
             queue_.pop_front();
             ++in_flight_;
-            queue_cv_.notify_all();  // space freed for blocked submitters
         }
-        Execute(std::move(job));
+        if (!job.erase) {
+            Execute(std::move(job));
+            continue;
+        }
+        try {
+            store_.Erase(job.key);
+        } catch (const StoreError& e) {
+            // Left as an orphan blob: no manifest names it any more.
+            MOC_WARN << "persist: erase of pruned " << job.key
+                     << " failed: " << e.what();
+        }
+        CompleteJob(job, /*written=*/false, /*deduped=*/false,
+                    /*failed=*/false, /*bytes=*/0);
     }
 }
 
@@ -201,12 +265,16 @@ PersistPipeline::Execute(Job job) {
     ctx.phase = "persist";
     const obs::TraceContextScope ctx_scope(ctx);
     const Seconds start = clock_.Now();
-    const std::uint32_t crc = Crc32c(job.blob.data(), job.blob.size());
-    const std::uint64_t hash = XxHash64(job.blob.data(), job.blob.size());
     const Bytes size = job.blob.size();
+    // Hash only what is used: the submitter's CRC when it has one, and the
+    // second dedup hash only when dedup can use it.
+    const std::uint32_t crc =
+        job.crc ? *job.crc : Crc32c(job.blob.data(), job.blob.size());
+    const std::uint64_t hash =
+        options_.dedup ? XxHash64(job.blob.data(), job.blob.size()) : 0;
 
     std::optional<SealedEntry> baseline;
-    {
+    if (options_.dedup || options_.delta) {
         std::lock_guard<std::mutex> lock(mu_);
         const auto it = sealed_baseline_.find(job.key);
         if (it != sealed_baseline_.end()) {
@@ -225,6 +293,7 @@ PersistPipeline::Execute(Job job) {
         {
             std::lock_guard<std::mutex> lock(mu_);
             staged_records_.emplace_back(job.key, entry);
+            gen_stats_.bytes_deduped += size;
         }
         manifest_.RecordPersistVersion(job.key, job.iteration, size, crc,
                                        /*verified=*/true,
@@ -278,21 +347,17 @@ PersistPipeline::Execute(Job job) {
     // this key (a full blob, or a shorter delta chain), so restore and
     // fsck can walk the chain without chasing dedup refs first.
     const std::size_t delta_base = baseline ? baseline->physical_iteration : 0;
-    Blob payload;
-    if (as_delta) {
-        payload = EncodeDelta(job.blob, changed, options_.delta_chunk_bytes,
-                              delta_base);
-    }
-    const Blob& wire = as_delta ? payload : job.blob;
+    Blob wire = as_delta ? EncodeDelta(job.blob, changed,
+                                       options_.delta_chunk_bytes, delta_base)
+                         : std::move(job.blob);
     const Bytes wire_size = wire.size();
     const std::uint32_t wire_crc =
         as_delta ? Crc32c(wire.data(), wire.size()) : crc;
     const std::string physical =
         as_delta ? DeltaShardKey(job.key, job.iteration)
-                 : VersionedShardKey(job.key, job.iteration);
+                 : options_.version_key(job.key, job.iteration);
 
-    bool written = false;
-    bool verified = false;
+    bool ok = true;
     // The watchdog covers the whole write+verify: a latency spike inside
     // Put (FaultyStore) or a hung filesystem fires a `stall` event while
     // this op is still blocked.
@@ -300,48 +365,31 @@ PersistPipeline::Execute(Job job) {
                                       options_.shard_budget_s, ctx,
                                       "key=" + job.key);
     try {
-        {
-            const obs::TraceSpan write_span("cluster.persist_shard",
-                                            "cluster");
-            if (write_cost_) {
-                clock_.Advance(write_cost_(wire_size) * options_.time_scale);
-            }
-            store_.Put(physical, wire);
-            written = true;
+        if (write_cost_) {
+            clock_.Advance(write_cost_(wire_size) * options_.time_scale);
         }
-        obs::TraceContext verify_ctx = job.ctx;
-        verify_ctx.phase = "verify";
-        const obs::TraceContextScope verify_scope(verify_ctx);
-        const obs::TraceSpan verify_span("cluster.verify_shard", "cluster");
-        const auto readback = store_.Get(physical);
-        verified = readback.has_value() && readback->size() == wire_size &&
-                   Crc32c(readback->data(), readback->size()) == wire_crc;
+        store_.Put(physical, std::move(wire), wire_crc);
     } catch (const StoreError& e) {
-        obs::JournalEvent fault;
-        fault.kind = obs::EventKind::kStorageFault;
-        fault.iteration = job.iteration;
-        fault.bytes = wire_size;
-        fault.detail = "cluster shard " + job.key + " " +
-                       (written ? "verify read" : "write") + " failed (" +
-                       StoreErrorKindName(e.kind()) + ")";
-        obs::EventJournal::Instance().Append(std::move(fault));
+        ok = false;
+        obs::EventJournal::Instance().Append(
+            {.kind = obs::EventKind::kStorageFault,
+             .iteration = job.iteration,
+             .bytes = wire_size,
+             .detail = "shard " + job.key + " persist failed (" +
+                       StoreErrorKindName(e.kind()) + ")"});
+        MOC_WARN << "persist: " << physical << " failed ("
+                 << StoreErrorKindName(e.kind()) << "); recorded unverified";
     }
 
-    const bool ok = written && verified;
-    if (written) {
-        // A landed-but-unverified write is still recorded (fsck and the
-        // fallback chains must know the version exists), but it can never
-        // seal its generation.
-        if (as_delta) {
-            manifest_.RecordPersistDelta(job.key, job.iteration, size, crc,
-                                         verified, delta_base, wire_size,
-                                         wire_crc);
-        } else {
-            manifest_.RecordPersistVersion(job.key, job.iteration, size, crc,
-                                           verified);
-        }
+    // A failed write is still recorded, as unverified: fsck and the
+    // fallback chains skip it, and it keeps its generation unsealed.
+    if (as_delta) {
+        manifest_.RecordPersistDelta(job.key, job.iteration, size, crc, ok,
+                                     delta_base, wire_size, wire_crc);
+    } else {
+        manifest_.RecordPersistVersion(job.key, job.iteration, size, crc, ok);
     }
-    if (ok) {
+    if (ok && (options_.dedup || options_.delta)) {
         SealedEntry entry;
         entry.crc = crc;
         entry.hash = hash;
@@ -393,16 +441,19 @@ PersistPipeline::Execute(Job job) {
 void
 PersistPipeline::CompleteJob(const Job& job, bool written, bool deduped,
                              bool failed, Bytes bytes) {
+    bool drained = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
         gen_stats_.shards_written += written ? 1 : 0;
         gen_stats_.shards_deduped += deduped ? 1 : 0;
         gen_stats_.failures += failed ? 1 : 0;
         gen_stats_.bytes_written += bytes;
-        gen_stats_.bytes_deduped += deduped ? job.blob.size() : 0;
         --in_flight_;
+        drained = queue_.empty() && in_flight_ == 0;
     }
-    drain_cv_.notify_all();
+    if (drained) {
+        drain_cv_.notify_all();  // the only state the drain waits for
+    }
     if (job.batch) {
         {
             std::lock_guard<std::mutex> lock(job.batch->mu_);

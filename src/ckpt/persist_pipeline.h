@@ -3,16 +3,21 @@
 
 /**
  * @file
- * The cluster persist pipeline: a bounded pool of persist workers draining
- * per-shard keyed writes into the persistent store, with the commit
- * protocol that makes a cluster checkpoint atomic at the generation level
- * (docs/FAULT_MODEL.md, "Cluster commit protocol"):
+ * The persist engine: a bounded pool of persist workers draining per-unit
+ * keyed writes into the persistent store, with the commit protocol that
+ * makes a checkpoint atomic at the generation level (docs/FAULT_MODEL.md,
+ * "Checkpoint generations" and "Cluster commit protocol"). It is the only
+ * code that writes generation blobs, records persist versions, seals,
+ * prunes and writes the manifest, for both the single-process training
+ * path (MocCheckpointSystem) and the cluster engine:
  *
- *  - every shard is written under its *versioned* key
- *    ("<rank>/<unit>@<iteration>", see VersionedShardKey), never
- *    latest-wins, so a failing event cannot damage an older generation;
- *  - each write is CRC-32C hashed, read back and verified before the
- *    manifest records it;
+ *  - every unit is written under its *versioned* key (the options'
+ *    version_key: "<rank>/<unit>@<iteration>" on the cluster path,
+ *    "gen/<iteration>/<unit>" on the training path), never latest-wins, so
+ *    a failing event cannot damage an older generation;
+ *  - each write is one ResilientStore::Put: retried, fsynced by the
+ *    backend, read back and CRC-32C verified. A unit that fails is still
+ *    recorded, as unverified, so fsck and the fallback chains skip it;
  *  - a shard whose content identity — (byte size, CRC-32C, xxHash64), two
  *    structurally unrelated hashes so a 32-bit collision cannot silently
  *    alias two different blobs — matches the last *sealed* generation's
@@ -26,9 +31,12 @@
  *    bytes. Chains are bounded by max_delta_chain; at the bound (or on a
  *    size change, or when every chunk changed) a full write is forced;
  *  - the generation is sealed — and only then becomes an eligible restart
- *    target — when every rank's every shard landed and verified; any
- *    failure leaves it unsealed and recovery falls back to the previous
- *    sealed generation.
+ *    target — when every unit landed and verified; any failure leaves it
+ *    unsealed and recovery falls back to the previous sealed generation;
+ *  - after the seal, versions no kept generation needs are pruned
+ *    (keep_generations), the manifest is written, and only then are the
+ *    pruned blobs erased: a crash in between leaves orphan blobs, never a
+ *    manifest naming erased ones.
  */
 
 #include <condition_variable>
@@ -47,13 +55,17 @@
 #include "obs/watchdog.h"
 #include "storage/delta_codec.h"
 #include "storage/manifest.h"
-#include "storage/object_store.h"
+#include "storage/resilient_store.h"
 #include "util/clock.h"
 
 namespace moc {
 
 /** Simulated seconds one persist write of N bytes takes (nullable). */
 using WriteCostFn = std::function<Seconds(Bytes)>;
+
+/** Store key of unit @p key's full version at @p iteration. */
+using VersionKeyFn =
+    std::function<std::string(const std::string& key, std::size_t iteration)>;
 
 /** Tuning knobs of the pipeline. */
 struct PersistPipelineOptions {
@@ -82,6 +94,14 @@ struct PersistPipelineOptions {
     double shard_budget_s = 0.0;
     /** Deadline budget for the seal barrier's drain wait (0 = off). */
     double seal_budget_s = 0.0;
+    /** Store key of each full version the pipeline writes. */
+    VersionKeyFn version_key = VersionedShardKey;
+    /**
+     * Eligible generations kept by the prune after each seal
+     * (CheckpointManifest::PrunePersistGenerations); 0 = never prune.
+     * Pruning erases full versions only, so it requires delta off.
+     */
+    std::size_t keep_generations = 0;
 };
 
 /** Per-generation outcome of the commit protocol. */
@@ -98,7 +118,7 @@ struct GenerationCommitStats {
     std::size_t shards_delta = 0;
     /** Full writes forced because a chain reached max_delta_chain. */
     std::size_t forced_full = 0;
-    /** Shard writes that failed (StoreError or verification mismatch). */
+    /** Shard writes that failed (retries or read-back verify exhausted). */
     std::size_t failures = 0;
     Bytes bytes_written = 0;
     /** Bytes dedup avoided re-persisting. */
@@ -109,6 +129,14 @@ struct GenerationCommitStats {
     /** All shards landed and verified; the generation is a restart target. */
     bool sealed = false;
 };
+
+/**
+ * Writes @p manifest's JSON to kManifestKey through the verified Put: the
+ * one manifest writer of every checkpoint path. Best-effort: a failure
+ * journals a `storage_fault` and warns, since the in-memory manifest stays
+ * authoritative for the process that holds it.
+ */
+void WriteManifest(ResilientStore& store, const CheckpointManifest& manifest);
 
 /**
  * Completion handle for one batch of shard submissions (one rank's slice of
@@ -139,17 +167,18 @@ class ShardBatch {
 };
 
 /**
- * Bounded persist worker pool implementing the cluster commit protocol.
+ * Bounded persist worker pool implementing the commit protocol.
  * Thread-safe: rank threads submit concurrently; workers drain concurrently.
  */
 class PersistPipeline {
   public:
     /**
-     * @param store destination of shard blobs (shared by all ranks).
+     * @param store verified destination of every blob and the manifest
+     *        (shared by all ranks).
      * @param manifest generation/version registry the protocol commits to.
      * @param write_cost simulated write duration, or nullptr for none.
      */
-    PersistPipeline(ObjectStore& store, CheckpointManifest& manifest,
+    PersistPipeline(ResilientStore& store, CheckpointManifest& manifest,
                     WriteCostFn write_cost,
                     const PersistPipelineOptions& options = {});
 
@@ -173,11 +202,14 @@ class PersistPipeline {
      * the queue is at capacity. @p batch (optional) is signalled when this
      * shard completes. @p ctx (optional) is the checkpoint-event identity
      * the worker installs while executing the job, so persist/verify spans
-     * land in the submitting rank's lane of the flight recorder.
+     * land in the submitting rank's lane of the flight recorder. @p crc
+     * (optional) is the blob's CRC-32C when the caller already computed it;
+     * the worker then does not hash the blob again.
      */
     void Submit(std::string key, Blob blob, std::size_t iteration,
                 std::shared_ptr<ShardBatch> batch = nullptr,
-                const obs::TraceContext& ctx = {});
+                const obs::TraceContext& ctx = {},
+                std::optional<std::uint32_t> crc = std::nullopt);
 
     /**
      * Waits until every submitted shard of the open generation drained,
@@ -185,7 +217,8 @@ class PersistPipeline {
      * manifest generation is sealed (MarkCheckpointComplete) and becomes
      * the dedup baseline for the next event; otherwise it stays unsealed
      * and is never offered as a restart target. Emits a `cluster_seal`
-     * journal event either way.
+     * journal event either way. Then prunes (keep_generations), writes the
+     * manifest, and erases the pruned blobs on the workers.
      */
     GenerationCommitStats FinishGeneration();
 
@@ -196,8 +229,12 @@ class PersistPipeline {
         std::string key;
         Blob blob;
         std::size_t iteration = 0;
+        /** CRC-32C of blob, when the submitter already computed it. */
+        std::optional<std::uint32_t> crc;
         std::shared_ptr<ShardBatch> batch;
         obs::TraceContext ctx;
+        /** Erase the store key `key` (a pruned version) instead. */
+        bool erase = false;
     };
 
     /** Content identity of a sealed shard, for dedup and delta diffing. */
@@ -216,12 +253,15 @@ class PersistPipeline {
         std::shared_ptr<const std::vector<ChunkId>> chunks;
     };
 
+    /** Drains the open generation and runs the seal rule. */
+    GenerationCommitStats Seal();
+
     void WorkerLoop();
     void Execute(Job job);
     void CompleteJob(const Job& job, bool written, bool deduped, bool failed,
                      Bytes bytes);
 
-    ObjectStore& store_;
+    ResilientStore& store_;
     CheckpointManifest& manifest_;
     WriteCostFn write_cost_;
     PersistPipelineOptions options_;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <future>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -199,9 +199,7 @@ MocCheckpointSystem::MocCheckpointSystem(const MocSystemConfig& config,
       topology_(topology),
       spec_(spec),
       ledger_(std::max<std::size_t>(1, spec.NumMoeLayers()), spec.num_experts),
-      memory_(topology.num_nodes()),
-      persist_pool_(std::min<std::size_t>(
-          4, std::max(1U, std::thread::hardware_concurrency()))) {
+      memory_(topology.num_nodes()) {
     MOC_CHECK_ARG(config.i_ckpt >= 1, "i_ckpt must be >= 1");
     MOC_CHECK_ARG(spec.NumMoeLayers() >= 1, "MoC-System requires an MoE model");
 
@@ -256,6 +254,21 @@ MocCheckpointSystem::MocCheckpointSystem(const MocSystemConfig& config,
             }
             return std::nullopt;
         });
+    // The one persist engine, with the training path's layout: dedup and
+    // delta off, GenKey names, persist_generations kept.
+    PersistPipelineOptions pipe;
+    pipe.workers = std::min<std::size_t>(
+        4, std::max(1U, std::thread::hardware_concurrency()));
+    // Unbounded: the persist set is already serialized in memory when it is
+    // submitted, so backpressure would only stall the training thread.
+    pipe.queue_capacity = std::numeric_limits<std::size_t>::max();
+    pipe.dedup = false;
+    pipe.version_key = [](const std::string& key, std::size_t iteration) {
+        return GenKey(iteration, key);
+    };
+    pipe.keep_generations = config_.persist_generations;
+    pipeline_ = std::make_unique<PersistPipeline>(*persist_, manifest_,
+                                                  nullptr, pipe);
 
     // Per-expert telemetry + run metadata restart with each bound system.
     obs::ExpertStatsRegistry::Instance().Configure(spec.NumMoeLayers(),
@@ -276,10 +289,8 @@ MocCheckpointSystem::MocCheckpointSystem(const MocSystemConfig& config,
         SaveGroup(group, 0, /*weights=*/false, true, true, report, jobs);
     }
     jobs.push_back(ExtraStateJob(initial_extra));
-    PersistAll(jobs, 0);
     manifest_.MarkCheckpointComplete(StoreLevel::kMemory, 0);
-    manifest_.MarkCheckpointComplete(StoreLevel::kPersist, 0);
-    WriteManifestBlob();
+    PersistGeneration(jobs, 0);
     obs::EventJournal::Instance().Append(
         {.kind = obs::EventKind::kCkptEnd,
          .bytes = report.snapshot_bytes + report.persist_bytes,
@@ -308,94 +319,48 @@ MocCheckpointSystem::PersistBackend() {
 }
 
 void
-MocCheckpointSystem::PersistAll(std::vector<PersistJob>& jobs,
-                                std::size_t iteration) {
-    // Fan the writes out; each runs the full resilient Put (write, fsync,
-    // rename, read-back verify) on a worker under this event's context.
+MocCheckpointSystem::PersistGeneration(std::vector<PersistJob>& jobs,
+                                       std::size_t iteration) {
+    // Each job runs the full resilient Put (write, fsync, rename, read-back
+    // verify) on a pipeline worker under this event's trace context.
     const obs::TraceContext ctx = obs::CurrentTraceContext();
-    std::vector<Bytes> sizes(jobs.size());
-    std::vector<std::future<void>> writes;
-    writes.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        sizes[i] = jobs[i].blob.size();
-        writes.push_back(persist_pool_.Submit([this, &jobs, ctx, iteration, i] {
-            const obs::TraceContextScope trace_scope(ctx);
-            PersistJob& job = jobs[i];
-            persist_->Put(GenKey(iteration, job.key), std::move(job.blob),
+    pipeline_->BeginGeneration(iteration);
+    for (PersistJob& job : jobs) {
+        pipeline_->Submit(job.key, std::move(job.blob), iteration, nullptr, ctx,
                           job.crc);
-        }));
     }
-    // Join every write before reading any outcome, then record them in plan
-    // order: the manifest, the journal and a rethrown failure stay
-    // deterministic.
-    persist_pool_.Wait();
+    pipeline_->FinishGeneration();
+    // Read the outcomes from the manifest in plan order: the journal, the
+    // stats and a thrown failure stay deterministic.
     auto& journal = obs::EventJournal::Instance();
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const PersistJob& job = jobs[i];
-        bool verified = true;
-        try {
-            writes[i].get();
-        } catch (const StoreError& e) {
+    for (const PersistJob& job : jobs) {
+        const auto version = manifest_.FindPersistVersion(job.key, iteration);
+        MOC_ASSERT(version.has_value(), "pipeline recorded no version of "
+                                            << job.key);
+        if (!version->verified) {
             // The initial checkpoint must land: every later recovery
             // bottoms out on generation 0.
             if (iteration == 0) {
-                throw;
+                throw StoreError(StoreErrorKind::kTimeout, GenKey(0, job.key),
+                                 "initial checkpoint persist failed");
             }
-            verified = false;
             static obs::Counter& failures =
                 obs::MetricsRegistry::Instance().GetCounter(
                     "ckpt.persist_shard_failures");
             failures.Add();
-            journal.Append(
-                {.kind = obs::EventKind::kStorageFault,
-                 .iteration = iteration,
-                 .bytes = sizes[i],
-                 .detail = std::string("persist failed: ") + e.what()});
-            MOC_WARN << "ckpt: persist of " << job.key << " failed ("
-                     << StoreErrorKindName(e.kind())
-                     << "); shard recorded unverified";
         }
-        manifest_.RecordPersistVersion(job.key, iteration, sizes[i], job.crc,
-                                       verified);
         if (!job.unit) {
             continue;
         }
         journal.Append({.kind = obs::EventKind::kPersist,
                         .iteration = iteration,
-                        .bytes = sizes[i],
+                        .bytes = version->bytes,
                         .detail = job.key});
         if (job.expert.has_value()) {
             obs::ExpertStatsRegistry::Instance().OnPersist(
-                job.expert->first, job.expert->second, iteration, sizes[i]);
+                job.expert->first, job.expert->second, iteration,
+                version->bytes);
         }
-    }
-}
-
-void
-MocCheckpointSystem::ErasePruned(
-    const std::vector<std::pair<std::string, std::size_t>>& pruned) {
-    std::vector<std::future<void>> erases;
-    erases.reserve(pruned.size());
-    for (const auto& [key, gen] : pruned) {
-        erases.push_back(persist_pool_.Submit(
-            [this, path = GenKey(gen, key)] { persist_->Erase(path); }));
-    }
-    persist_pool_.Wait();
-    for (auto& erase : erases) {
-        erase.get();
-    }
-}
-
-void
-MocCheckpointSystem::WriteManifestBlob() {
-    const std::string json = manifest_.ToJson();
-    try {
-        persist_->Put(kManifestKey, Blob(json.begin(), json.end()));
-    } catch (const StoreError& e) {
-        obs::EventJournal::Instance().Append(
-            {.kind = obs::EventKind::kStorageFault,
-             .detail = std::string("manifest write failed: ") + e.what()});
-        MOC_WARN << "ckpt: manifest write failed: " << e.what();
     }
 }
 
@@ -527,16 +492,8 @@ MocCheckpointSystem::Checkpoint(std::size_t iteration, const ExtraState& extra) 
     }
 
     jobs.push_back(ExtraStateJob(extra));
-    PersistAll(jobs, iteration);
     manifest_.MarkCheckpointComplete(StoreLevel::kMemory, iteration);
-    manifest_.MarkCheckpointComplete(StoreLevel::kPersist, iteration);
-    // The manifest that stops listing the pruned versions lands before
-    // their blobs go: a crash in between leaves orphan blobs, never a
-    // manifest naming erased ones.
-    const auto pruned =
-        manifest_.PrunePersistGenerations(config_.persist_generations);
-    WriteManifestBlob();
-    ErasePruned(pruned);
+    PersistGeneration(jobs, iteration);
     ledger_.RecordCheckpointEvent(iteration);
     ++ckpt_count_;
     // The live time-series ring (obs/timeseries.h) reads this gauge each
@@ -619,10 +576,10 @@ MocCheckpointSystem::RecoverFromFault(const std::vector<NodeId>& failed_nodes) {
             "recovery.generation_fallbacks");
 
     // Restart candidates: verified generations newest-first, then sealed
-    // generations with unverified shards as last resorts (the strict
-    // per-key checks below still hold, so they either restore consistently
-    // or get marked corrupt); for legacy manifests with no generation
-    // records at all, the last completed checkpoint.
+    // generations with shards later marked corrupt as last resorts (the
+    // strict per-key checks below still hold, so they either restore
+    // consistently or get marked corrupt); for legacy manifests with no
+    // generation records at all, the last completed checkpoint.
     std::vector<std::size_t> candidates = manifest_.EligibleGenerations();
     std::vector<std::size_t> last_resort;
     for (const auto& info : manifest_.Generations()) {
@@ -767,7 +724,7 @@ MocCheckpointSystem::RecoverFromFault(const std::vector<NodeId>& failed_nodes) {
         }
     }
     if (!restored) {
-        WriteManifestBlob();  // record what recovery learned about damage
+        WriteManifest(*persist_, manifest_);  // record what recovery learned
         throw StoreError(StoreErrorKind::kCorrupt, kManifestKey,
                          "no restartable checkpoint generation survives");
     }
@@ -789,7 +746,7 @@ MocCheckpointSystem::RecoverFromFault(const std::vector<NodeId>& failed_nodes) {
             }
         }
     }
-    WriteManifestBlob();
+    WriteManifest(*persist_, manifest_);
 
     ledger_.OnFaultRecovery(report.plan.restart_iteration,
                             report.plan.expert_recovered_iteration);

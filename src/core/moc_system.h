@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "ckpt/persist_pipeline.h"
 #include "core/dynamic_k.h"
 #include "core/pec.h"
 #include "core/plt.h"
@@ -29,7 +30,6 @@
 #include "storage/persistent_store.h"
 #include "storage/resilient_store.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace moc {
 
@@ -172,18 +172,12 @@ class MocCheckpointSystem {
     ObjectStore& PersistBackend();
 
     /**
-     * Persists every job under GenKey(@p iteration, key) on the persist
-     * pool, joins them, and records each (possibly unverified) version in
-     * job order. At iteration 0 the first failed job rethrows.
+     * Commits @p jobs as generation @p iteration through the persist
+     * pipeline, then walks them in plan order: journals each unit's
+     * kPersist, updates its expert stats and counts failed units. At
+     * iteration 0 the first failed job throws.
      */
-    void PersistAll(std::vector<PersistJob>& jobs, std::size_t iteration);
-
-    /** Erases the blobs of @p pruned (key, iteration) versions in parallel. */
-    void ErasePruned(
-        const std::vector<std::pair<std::string, std::size_t>>& pruned);
-
-    /** Writes the manifest JSON to meta/manifest (best-effort). */
-    void WriteManifestBlob();
+    void PersistGeneration(std::vector<PersistJob>& jobs, std::size_t iteration);
 
     /**
      * Reads one persisted version of @p key, CRC-verified, read-repaired
@@ -210,8 +204,11 @@ class MocCheckpointSystem {
     /** last_snap_iter_[m][e]: iteration of that expert's last snapshot. */
     std::vector<std::vector<std::size_t>> last_snap_iter_;
     std::size_t ckpt_count_ = 0;
-    /** Writers of each checkpoint's persist set; joined before it seals. */
-    ThreadPool persist_pool_;
+    /**
+     * The persist engine: writes, verifies, seals, prunes and writes the
+     * manifest. Declared after persist_ and manifest_, which it uses.
+     */
+    std::unique_ptr<PersistPipeline> pipeline_;
 };
 
 /** Serializes the weights (or Adam moments) of a parameter list. */

@@ -92,6 +92,10 @@ ResilientStore::Put(const std::string& key, Blob blob, std::uint32_t crc) {
         }
         CheckDeadline(start, key, "put");
         try {
+            // The write runs in the caller's phase (a persist worker's
+            // "persist"); the read-back below is the "verify" segment the
+            // critical-path profiler splits it from.
+            const obs::TraceSpan span("store.put", "storage");
             base_.Put(key, blob);  // keep our copy for verify/retry
         } catch (const StoreError& e) {
             if (e.kind() != StoreErrorKind::kTransient) {
@@ -103,6 +107,10 @@ ResilientStore::Put(const std::string& key, Blob blob, std::uint32_t crc) {
         if (!policy_.verify_after_write) {
             return;
         }
+        obs::TraceContext verify_ctx = obs::CurrentTraceContext();
+        verify_ctx.phase = "verify";
+        const obs::TraceContextScope verify_scope(verify_ctx);
+        const obs::TraceSpan span("store.verify", "storage");
         std::optional<Blob> readback;
         try {
             readback = base_.Get(key);

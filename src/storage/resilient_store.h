@@ -10,7 +10,10 @@
  *   - every operation retries transient backend errors under bounded
  *     exponential backoff with seeded jitter, up to a per-op deadline;
  *   - writes are read back and CRC-verified (verify_after_write), so torn,
- *     bit-flipped, and lost writes surface at save time, not recovery time;
+ *     bit-flipped, and lost writes surface at save time, not recovery time.
+ *     Each attempt traces a `store.put` span in the caller's phase and a
+ *     `store.verify` span in phase "verify", the split the critical-path
+ *     profiler reads;
  *   - GetChecked verifies reads against the CRC the manifest recorded at
  *     write time and can read-repair from a caller-supplied replica source
  *     (e.g. surviving DP/EP memory copies).

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <thread>
 
@@ -19,6 +22,7 @@
 #include "storage/faulty_store.h"
 #include "storage/file_store.h"
 #include "storage/persistent_store.h"
+#include "storage/resilient_store.h"
 #include "storage/store_error.h"
 
 namespace moc {
@@ -89,7 +93,8 @@ TEST(PersistPipeline, WritesVersionedKeysAndSealsGeneration) {
     PersistentStore store({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
                            .latency = 0.0});
     CheckpointManifest manifest;
-    PersistPipeline pipeline(store, manifest, {});
+    ResilientStore verified(store);
+    PersistPipeline pipeline(verified, manifest, {});
 
     pipeline.BeginGeneration(1);
     const auto batch = pipeline.MakeBatch();
@@ -112,7 +117,8 @@ TEST(PersistPipeline, DedupRecordsUnchangedShardByReference) {
     PersistentStore store({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
                            .latency = 0.0});
     CheckpointManifest manifest;
-    PersistPipeline pipeline(store, manifest, {});
+    ResilientStore verified(store);
+    PersistPipeline pipeline(verified, manifest, {});
 
     const Blob unchanged(100, 0x11);
     pipeline.BeginGeneration(1);
@@ -152,7 +158,8 @@ TEST(PersistPipeline, UnsealedGenerationNeverBecomesDedupBaseline) {
                           .latency = 0.0});
     RankFaultStore store(base, "b@");
     CheckpointManifest manifest;
-    PersistPipeline pipeline(store, manifest, {});
+    ResilientStore verified(store);
+    PersistPipeline pipeline(verified, manifest, {});
 
     pipeline.BeginGeneration(1);
     pipeline.Submit("a", Blob(100, 0x11), 1);
@@ -189,7 +196,8 @@ TEST(PersistPipeline, VerifyCatchesSilentBitFlip) {
                           .latency = 0.0});
     FaultyStore store(base, /*seed=*/7);
     CheckpointManifest manifest;
-    PersistPipeline pipeline(store, manifest, {});
+    ResilientStore verified(store);
+    PersistPipeline pipeline(verified, manifest, {});
 
     StorageFaultProfile profile;
     profile.bit_flip = 1.0;  // every write silently lands damaged
@@ -210,13 +218,69 @@ TEST(PersistPipeline, VerifyCatchesSilentBitFlip) {
 TEST(PersistPipeline, RejectsOverlappingGenerationsAndStraySubmits) {
     PersistentStore store;
     CheckpointManifest manifest;
-    PersistPipeline pipeline(store, manifest, {});
+    ResilientStore verified(store);
+    PersistPipeline pipeline(verified, manifest, {});
     EXPECT_THROW(pipeline.Submit("a", Blob(1), 1), std::invalid_argument);
     pipeline.BeginGeneration(1);
     EXPECT_THROW(pipeline.BeginGeneration(2), std::invalid_argument);
     EXPECT_THROW(pipeline.Submit("a", Blob(1), 2), std::invalid_argument);
     pipeline.FinishGeneration();
     EXPECT_THROW(pipeline.FinishGeneration(), std::invalid_argument);
+}
+
+TEST(PersistPipeline, RejectedSubmitLeavesItsBatchWaitable) {
+    PersistentStore store;
+    CheckpointManifest manifest;
+    ResilientStore verified(store);
+    PersistPipeline pipeline(verified, manifest, {});
+    const auto batch = pipeline.MakeBatch();
+    EXPECT_THROW(pipeline.Submit("a", Blob(1), 1, batch),
+                 std::invalid_argument);
+    // A batch that counted the rejected shard blocks Wait() forever: wait
+    // on a helper thread, bounded, so that case fails instead of hanging.
+    const auto done = std::make_shared<std::atomic<bool>>(false);
+    std::thread waiter([batch, done] {
+        batch->Wait();
+        done->store(true);
+    });
+    for (int i = 0; i < 500 && !done->load(); ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (done->load()) {
+        waiter.join();
+    } else {
+        ADD_FAILURE() << "ShardBatch::Wait() still blocked after 5 s";
+        waiter.detach();  // blocked for good; it owns what it touches
+    }
+}
+
+TEST(PersistPipeline, FailedWriteIsRecordedUnverified) {
+    PersistentStore base({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
+                          .latency = 0.0});
+    RankFaultStore store(base, "b@");
+    store.set_enabled(true);
+    CheckpointManifest manifest;
+    ResilientStore verified(store);
+    PersistPipeline pipeline(verified, manifest, {});
+
+    pipeline.BeginGeneration(1);
+    pipeline.Submit("a", Blob(100, 0x11), 1);
+    pipeline.Submit("b", Blob(200, 0x22), 1);
+    const auto stats = pipeline.FinishGeneration();
+
+    EXPECT_FALSE(stats.sealed);
+    EXPECT_EQ(stats.failures, 1U);
+    // The failed unit is on record, unverified, so fsck and the fallback
+    // chains know the version was attempted and skip it.
+    const auto failed = manifest.FindPersistVersion("b", 1);
+    ASSERT_TRUE(failed.has_value());
+    EXPECT_FALSE(failed->verified);
+    EXPECT_EQ(failed->bytes, 200U);
+    EXPECT_TRUE(manifest.PersistFallbackChain("b", 1).empty());
+    const auto landed = manifest.FindPersistVersion("a", 1);
+    ASSERT_TRUE(landed.has_value());
+    EXPECT_TRUE(landed->verified);
+    EXPECT_FALSE(manifest.LatestEligibleGeneration().has_value());
 }
 
 // ---------- ClusterFaults (engine e2e under injected faults) ----------

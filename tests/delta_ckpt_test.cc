@@ -32,6 +32,7 @@
 #include "storage/faulty_store.h"
 #include "storage/file_store.h"
 #include "storage/persistent_store.h"
+#include "storage/resilient_store.h"
 #include "storage/store_error.h"
 #include "util/crc32.h"
 #include "util/hash.h"
@@ -573,7 +574,8 @@ TEST(DedupIdentity, Crc32cCollisionWithEqualSizeDoesNotDedup) {
     PersistentStore store({.write_bandwidth = 1e9, .read_bandwidth = 1e9,
                            .latency = 0.0});
     CheckpointManifest manifest;
-    PersistPipeline pipeline(store, manifest, {});
+    ResilientStore verified(store);
+    PersistPipeline pipeline(verified, manifest, {});
 
     pipeline.BeginGeneration(1);
     pipeline.Submit("k", a, 1);

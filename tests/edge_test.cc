@@ -13,7 +13,6 @@
 #include "nn/moe_layer.h"
 #include "util/clock.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace moc {
 namespace {
@@ -36,24 +35,6 @@ TEST(ClockDeath, VirtualClockRejectsBackwardsTime) {
     VirtualClock clock(10.0);
     EXPECT_DEATH(clock.Advance(-1.0), "backwards");
     EXPECT_DEATH(clock.AdvanceTo(5.0), "backwards");
-}
-
-// ---------- ThreadPool exceptions ----------
-
-TEST(ThreadPoolEdge, ExceptionPropagatesThroughFuture) {
-    ThreadPool pool(2);
-    auto future = pool.Submit([]() -> int {
-        throw std::runtime_error("task failed");
-    });
-    EXPECT_THROW(future.get(), std::runtime_error);
-    // The pool survives: subsequent tasks still run.
-    EXPECT_EQ(pool.Submit([] { return 5; }).get(), 5);
-}
-
-TEST(ThreadPoolEdge, WaitOnIdlePoolReturnsImmediately) {
-    ThreadPool pool(1);
-    pool.Wait();  // must not deadlock
-    SUCCEED();
 }
 
 // ---------- MoE capacity vs the PLT denominator ----------

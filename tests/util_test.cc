@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -23,7 +22,6 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace moc {
 namespace {
@@ -261,28 +259,6 @@ TEST(Stopwatch, MeasuresVirtualTime) {
     EXPECT_DOUBLE_EQ(sw.Elapsed(), 2.0);
     sw.Reset();
     EXPECT_DOUBLE_EQ(sw.Elapsed(), 0.0);
-}
-
-// ---------- ThreadPool ----------
-
-TEST(ThreadPool, RunsAllTasks) {
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i) {
-        pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, FuturesReturnValues) {
-    ThreadPool pool(2);
-    auto f = pool.Submit([] { return 7 * 6; });
-    EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, RejectsZeroThreads) {
-    EXPECT_THROW(ThreadPool(0), std::invalid_argument);
 }
 
 // ---------- Table ----------
